@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 parse/configuration error, 2 degenerate position,
 3 spread/radius truncation.  COARSE_CHAINS_THREADS caps the number of
-worker processes used to run several scenarios at once.
+worker processes used to run several scenarios at once (0 or unset: one per
+CPU); there are never more workers than scenarios.
 """
 
 from __future__ import annotations
@@ -62,12 +63,24 @@ def _run_one_scenario(source: str, out_dir: str | None) -> int:
     return EXIT_OK
 
 
+def _worker_cap() -> int:
+    """COARSE_CHAINS_THREADS as a non-negative integer; 0 (the default) means auto."""
+    raw = os.environ.get("COARSE_CHAINS_THREADS", "0").strip()
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"COARSE_CHAINS_THREADS must be a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     sources = args.scenarios
+    try:
+        cap = _worker_cap()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     if len(sources) == 1:
         return _run_one_scenario(sources[0], args.out_dir)
-    workers = int(os.environ.get("COARSE_CHAINS_THREADS", "0")) or min(
-        len(sources), os.cpu_count() or 1)
+    workers = min(cap or os.cpu_count() or 1, len(sources))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         codes = list(pool.map(_run_one_scenario, sources, [args.out_dir] * len(sources)))
     return max(codes)
@@ -116,10 +129,14 @@ def _cmd_homology(args: argparse.Namespace) -> int:
         print("error: --torus must be >= 1", file=sys.stderr)
         return EXIT_PARSE
     max_degree = args.max_degree if args.max_degree is not None else dim + 1
-    complex_ = build_quotient_complex(
-        TranslationAction.standard(dim), args.rmax, range(0, max_degree + 1),
-        include_degenerate=not args.no_degenerate)
-    report = snf_homology(complex_)
+    try:
+        complex_ = build_quotient_complex(
+            TranslationAction.standard(dim), args.rmax, range(0, max_degree + 1),
+            include_degenerate=not args.no_degenerate)
+        report = snf_homology(complex_)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     payload = {
         "torus": dim,
         "r_max": args.rmax,

@@ -19,11 +19,12 @@ from .chains import ChainTuple, UfChain, tuple_length
 from .coeffs import CoefficientGroup, Element, INTEGERS, group_by_name
 from .geometry import DegeneratePosition, FlatPair, fill, thom_crossing
 from .intlinalg import (
+    SmithSolver,
     SparseIntMatrix,
     kernel_basis,
     mat_vec,
     snf_with_transforms,
-    solve_int,
+    solve_int,  # noqa: F401 - still importable from here; perfbench's self-tests watch it
 )
 from .spaces import LatticeSpace, Point, Window
 from .wrongway import WrongWayContext
@@ -431,6 +432,7 @@ def restrict_equivariance(
     if normal_image.rank != q:
         raise ValueError("action does not move the flat transversally")
 
+    normal_solver = SmithSolver(normal_matrix)
     out: list[tuple[ChainTuple, Element]] = []
     for tup, coeff in c.terms.items():
         normals = [pair.normal_part(p) for p in tup]
@@ -438,7 +440,7 @@ def restrict_equivariance(
         z_lo = [-radius - min(v[i] for v in normals) for i in range(q)]
         z_hi = [radius - max(v[i] for v in normals) for i in range(q)]
         for z in normal_image.lattice_vectors_in_box(z_lo, z_hi):
-            coeffs = solve_int(normal_matrix, list(z))
+            coeffs = normal_solver.solve(z)
             assert coeffs is not None, "normal image enumeration left the lattice"
             offset = action.vector_from_coeffs(coeffs)
             out.append((action.translate_tuple(tup, offset), coeff))
@@ -452,11 +454,10 @@ def _lattice_basis_of_columns(matrix: list[list[int]]) -> list[Vector]:
     d, u, _ = snf_with_transforms(matrix)
     uinv_needed = len([x for x in (d[i][i] for i in range(min(len(d), len(d[0])))) if x])
     # Column lattice of A equals that of U^{-1} D; solve U y = d_i e_i.
+    u_solver = SmithSolver(u)
     basis: list[Vector] = []
-    m = len(matrix)
     for i in range(uinv_needed):
-        target = [d[i][i] if r == i else 0 for r in range(m)]
-        col = solve_int(u, target)
+        col = u_solver.solve_sparse({i: d[i][i]})
         assert col is not None
         basis.append(tuple(col))
     return basis
@@ -686,27 +687,33 @@ def identify_class(cycle: EquivariantChain, complex_: QuotientComplex) -> list[i
         z[pos] = coeff
 
     # Integral basis of the cycle lattice in degree d (everything if the
-    # complex carries no boundary out of this degree).
+    # complex carries no boundary out of this degree), factored once: its
+    # full column rank makes every kernel coordinate below unique.
     if d in complex_.matrices:
         kernel_cols = kernel_basis(complex_.matrices[d].to_dense())
     else:
         kernel_cols = [[1 if i == j else 0 for i in range(dim)] for j in range(dim)]
     k = len(kernel_cols)
     kmat = [[kernel_cols[j][i] for j in range(k)] for i in range(dim)]
-    w = solve_int(kmat, z)
+    kernel = SmithSolver(kmat)
+    w = kernel.solve(z)
     if w is None:
         raise ValueError("cycle is not an integral combination of the kernel basis")
 
-    # Express the boundary image in kernel coordinates and diagonalize.
-    bnd = complex_.matrices[d + 1].to_dense()
-    n_cols = len(bnd[0]) if bnd else 0
+    # Express the boundary image in kernel coordinates, one sparse column at
+    # a time, and diagonalize.  The kernel basis is saturated, so a column
+    # fails to solve exactly when d_d d_{d+1} != 0 on it.
+    bnd = complex_.matrices[d + 1]
+    n_cols = bnd.ncols
     y_matrix = [[0] * n_cols for _ in range(k)]
-    for j in range(n_cols):
-        col = [bnd[i][j] for i in range(len(bnd))]
-        y = solve_int(kmat, col)
-        assert y is not None, "boundary image escaped the cycle lattice"
-        for i in range(k):
-            y_matrix[i][j] = y[i]
+    for j, rows in bnd.cols.items():
+        y = kernel.solve_sparse({r: bnd.rows[r][j] for r in rows})
+        if y is None:
+            raise ValueError("boundary image escaped the cycle lattice; "
+                             "the boundary matrices do not compose to zero")
+        for i, yi in enumerate(y):
+            if yi:
+                y_matrix[i][j] = yi
 
     if n_cols:
         dsnf, u, _ = snf_with_transforms(y_matrix)

@@ -1,7 +1,10 @@
 """Exact integer linear algebra: Smith normal form, kernels, solving.
 
 Dense routines carry the unimodular transforms and are used where the
-coordinates matter (class identification).  The sparse reduction handles
+coordinates matter (class identification).  Solving is "factor once, solve
+many": SmithSolver keeps one Smith form of a matrix and answers every
+right-hand side against it by unimodular back-substitution, so a batch of
+solves costs one Smith form, not one per column.  The sparse reduction handles
 the large boundary matrices of quotient complexes: it peels off unit
 pivots with Markowitz-style pivoting (unimodular operations only) and
 hands the small leftover core to the dense routine, so ranks and
@@ -11,7 +14,7 @@ invariant factors stay exact.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Matrix = list[list[int]]
 
@@ -164,23 +167,52 @@ def kernel_basis(a: Matrix) -> list[list[int]]:
     return [[v[i][j] for i in range(n)] for j in range(r, n)]
 
 
+class SmithSolver:
+    """Integral solutions of A x = b for many b, from one Smith form of A.
+
+    With D = U A V, A x = b holds exactly when x = V y and D y = U b: the
+    i-th invariant factor must divide (U b)_i, and (U b)_i must vanish past
+    the rank.  U and V are kept column-wise and sparse, so a right-hand side
+    with few nonzeros costs only the columns it touches.
+    """
+
+    def __init__(self, a: Matrix) -> None:
+        d, u, v = snf_with_transforms(a)
+        self.nrows = len(a)
+        self.ncols = len(a[0]) if a else 0
+        self.factors = [x for x in diagonal(d) if x]
+        self._u_cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*u)]
+        self._v_cols = [[(i, row[j]) for i, row in enumerate(v) if row[j]]
+                        for j in range(len(self.factors))]
+
+    def solve(self, b: Sequence[int]) -> list[int] | None:
+        """One integral solution of A x = b, or None if there is none."""
+        if len(b) != self.nrows:
+            raise ValueError(f"right-hand side has {len(b)} entries, matrix has {self.nrows} rows")
+        return self.solve_sparse({i: x for i, x in enumerate(b) if x})
+
+    def solve_sparse(self, b: Mapping[int, int]) -> list[int] | None:
+        """As solve, with b given as {row: value} over its nonzero rows."""
+        ub = [0] * self.nrows
+        for j, x in b.items():
+            for i, uij in self._u_cols[j]:
+                ub[i] += uij * x
+        x_out = [0] * self.ncols
+        for i, di in enumerate(self.factors):
+            yi, rem = divmod(ub[i], di)
+            if rem:
+                return None
+            if yi:
+                for r, vri in self._v_cols[i]:
+                    x_out[r] += vri * yi
+        if any(ub[len(self.factors):]):
+            return None
+        return x_out
+
+
 def solve_int(a: Matrix, b: Sequence[int]) -> list[int] | None:
     """One integral solution of A x = b, or None if there is none."""
-    d, u, v = snf_with_transforms(a)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    ub = mat_vec(u, list(b))
-    y = [0] * n
-    diag = diagonal(d)
-    for i in range(m):
-        di = diag[i] if i < len(diag) else 0
-        if di:
-            if ub[i] % di:
-                return None
-            y[i] = ub[i] // di
-        elif ub[i]:
-            return None
-    return mat_vec(v, y)
+    return SmithSolver(a).solve(b)
 
 
 # -- sparse reduction ------------------------------------------------------

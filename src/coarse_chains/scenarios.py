@@ -34,6 +34,10 @@ from .wrongway import WrongWayContext, sign_identity_residual, wrong_way
 
 REQUIRED_KEYS = ("name", "pair", "group", "window", "r_max", "seed", "perturb", "pipeline")
 
+# A sign_identity step draws at most this many chains per chain it must
+# check; zero chains and degenerate draws are rejected and count as attempts.
+SIGN_IDENTITY_ATTEMPTS_PER_CHAIN = 100
+
 
 class ScenarioError(ValueError):
     """Malformed scenario file or configuration."""
@@ -106,6 +110,10 @@ class ScenarioRun:
             self.perturb = bool(config["perturb"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"bad scenario configuration: {exc}") from None
+        if self.window.dim != self.pair.ambient_dim:
+            raise ScenarioError(
+                f"window has dimension {self.window.dim}, "
+                f"pair ambient dimension is {self.pair.ambient_dim}")
         self.rng = random.Random(self.seed)
         self.current: UfChain | EquivariantChain | None = None
         self.steps: list[dict] = []
@@ -120,7 +128,7 @@ class ScenarioRun:
                 raise ScenarioError(f"unknown pipeline op {op!r}")
             try:
                 record = handler(step)
-            except (DegeneratePosition, TruncationError, ScenarioError):
+            except (DegeneratePosition, TruncationError):
                 raise
             except (KeyError, TypeError, ValueError) as exc:
                 raise ScenarioError(f"step {i} ({op}): {exc}") from None
@@ -232,9 +240,17 @@ class ScenarioRun:
         q = self.pair.codim
         if degree < q + 1:
             raise ScenarioError("sign_identity needs degree >= codim + 1")
+        if count < 1:
+            raise ScenarioError("sign_identity needs count >= 1")
+        cap = SIGN_IDENTITY_ATTEMPTS_PER_CHAIN * count
         checked = attempts = 0
         max_residual = Fraction(0)
         while checked < count:
+            if attempts == cap:
+                raise ScenarioError(
+                    f"gave up at the attempt cap {cap} ({SIGN_IDENTITY_ATTEMPTS_PER_CHAIN} "
+                    f"per requested chain) with {checked} of {count} chains checked; "
+                    f"every other draw was a zero chain or in degenerate position")
             attempts += 1
             terms: list = []
             for _ in range(n_terms):
@@ -246,6 +262,8 @@ class ScenarioRun:
                 coeff = self.rng.choice([-2, -1, 1, 2])
                 terms.append((tup, 1 if self.group.name == "Z/2" else coeff))
             chain = UfChain(degree, space, self.group, terms)
+            if chain.is_zero():
+                continue
             try:
                 residual = sign_identity_residual(chain, ctx)
             except DegeneratePosition:

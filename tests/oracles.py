@@ -8,6 +8,8 @@ reduction, so agreement is a genuine cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from coarse_chains import AffineSimplex, FlatPair
 
@@ -83,3 +85,45 @@ def frac_rank_oracle(matrix: list[list[int]]) -> int:
                 m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def det_oracle(matrix: list[list[int]]) -> Fraction:
+    """Determinant by Fraction elimination, independent of the SNF code."""
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                factor = m[r][col] / m[col][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def _minor_gcd(matrix: list[list[int]], size: int) -> int:
+    g = 0
+    ncols = len(matrix[0])
+    for rows in combinations(range(len(matrix)), size):
+        for cols in combinations(range(ncols), size):
+            g = gcd(g, int(det_oracle([[matrix[r][c] for c in cols] for r in rows])))
+    return g
+
+
+def int_solvable_oracle(matrix: list[list[int]], b: list[int]) -> bool:
+    """Whether A x = b has an integral solution, by determinantal divisors.
+
+    Heger's criterion: A and [A | b] must have the same rank r and the same
+    gcd of r x r minors.  Exponential in the size; for small matrices only.
+    """
+    augmented = [row + [x] for row, x in zip(matrix, b)]
+    r = frac_rank_oracle(matrix)
+    if frac_rank_oracle(augmented) != r:
+        return False
+    return r == 0 or _minor_gcd(matrix, r) == _minor_gcd(augmented, r)

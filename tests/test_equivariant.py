@@ -23,6 +23,8 @@ from coarse_chains import (
     snf_homology,
     wrong_way,
 )
+from coarse_chains.equivariant import QuotientComplex
+from coarse_chains.intlinalg import SparseIntMatrix
 from oracles import frac_rank_oracle
 
 Z_ACT = TranslationAction.standard(1)
@@ -487,6 +489,20 @@ def test_identify_truncation_error():
     assert equivariant_boundary(wide).is_zero()
     with pytest.raises(TruncationError):
         identify_class(wide, qc)
+
+
+def test_identify_rejects_boundary_outside_cycle_lattice():
+    # d_1 d_2 != 0: the one degree-2 column is not a degree-1 cycle.
+    bases = {0: [((0,),)], 1: [((0,), (0,)), ((0,), (1,))], 2: [((0,), (0,), (0,))]}
+    qc = QuotientComplex(
+        action=Z_ACT, r_max=1, degrees=(0, 1, 2), bases=bases,
+        index={d: {t: i for i, t in enumerate(b)} for d, b in bases.items()},
+        matrices={1: SparseIntMatrix(1, 2, [(0, 1, 1)]),
+                  2: SparseIntMatrix(2, 1, [(1, 0, 1)])})
+    assert not qc.composition_is_zero()
+    cycle = EquivariantChain(1, Z_ACT, INTEGERS, {((0,), (0,)): 1})
+    with pytest.raises(ValueError, match="escaped the cycle lattice"):
+        identify_class(cycle, qc)
 
 
 def test_homology_report_json():

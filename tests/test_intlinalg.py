@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 from coarse_chains.intlinalg import (
+    SmithSolver,
     SparseIntMatrix,
     identity,
     invariant_factors,
@@ -15,7 +17,7 @@ from coarse_chains.intlinalg import (
     transpose,
 )
 
-from oracles import frac_rank_oracle
+from oracles import det_oracle, frac_rank_oracle, int_solvable_oracle
 
 
 def _random_matrix(rng, m, n, lo=-6, hi=6, density=1.0):
@@ -25,28 +27,6 @@ def _random_matrix(rng, m, n, lo=-6, hi=6, density=1.0):
     ]
 
 
-def _det_frac(a):
-    from fractions import Fraction
-
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
-
-
 def test_snf_decomposition_properties():
     rng = random.Random(1)
     for _ in range(100):
@@ -54,8 +34,8 @@ def test_snf_decomposition_properties():
         a = _random_matrix(rng, m, n)
         d, u, v = snf_with_transforms(a)
         assert mat_mul(mat_mul(u, a), v) == d
-        assert abs(_det_frac(u)) == 1
-        assert abs(_det_frac(v)) == 1
+        assert abs(det_oracle(u)) == 1
+        assert abs(det_oracle(v)) == 1
         diag = [d[i][i] for i in range(min(m, n))]
         for i in range(m):
             for j in range(n):
@@ -130,6 +110,54 @@ def test_solve_int_detects_unsolvable():
     # 2x = 1 has no integral solution; x+y=1, x+y=2 is inconsistent.
     assert solve_int([[2]], [1]) is None
     assert solve_int([[1, 1], [1, 1]], [1, 2]) is None
+
+
+def test_smith_solver_matches_fresh_solve_int():
+    # One factorization answers many right-hand sides exactly as a fresh
+    # solve_int does, dense or sparse, on rank-deficient and scaled matrices.
+    rng = random.Random(11)
+    seen = Counter()
+    for _ in range(150):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        r = rng.randint(0, min(m, n))
+        if r:
+            a = mat_mul(_random_matrix(rng, m, r, -3, 3), _random_matrix(rng, r, n, -3, 3))
+        else:
+            a = [[0] * n for _ in range(m)]
+        scale = rng.choice([1, 1, 2, 3])
+        a = [[scale * x for x in row] for row in a]
+        seen["rank_deficient"] += frac_rank_oracle(a) < min(m, n)
+        solver = SmithSolver(a)
+        for kind in ("image", "scaled_down", "random"):
+            x = [rng.randint(-4, 4) for _ in range(n)]
+            if kind == "image":
+                b = mat_vec(a, x)
+            elif kind == "scaled_down":
+                b = [v // scale for v in mat_vec(a, x)]
+            else:
+                b = [rng.randint(-6, 6) for _ in range(m)]
+            got = solver.solve(b)
+            assert got == solve_int(a, b)
+            assert got == solver.solve_sparse({i: v for i, v in enumerate(b) if v})
+            if got is None:
+                seen["none"] += 1
+                assert not int_solvable_oracle(a, b)
+                seen["rational_only"] += frac_rank_oracle(a) == frac_rank_oracle(
+                    [row + [v] for row, v in zip(a, b)])
+            else:
+                seen["solved"] += 1
+                assert mat_vec(a, got) == b
+            if kind == "image":
+                assert got is not None
+    assert seen["rank_deficient"] > 50
+    assert seen["solved"] > 100 and seen["none"] > 100
+    # some right-hand sides are solvable over Q but not over Z
+    assert seen["rational_only"] > 10
+
+
+def test_smith_solver_rejects_wrong_length():
+    with pytest.raises(ValueError, match="right-hand side"):
+        SmithSolver([[1, 0], [0, 1]]).solve([1])
 
 
 def test_sparse_matches_dense():

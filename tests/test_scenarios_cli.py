@@ -250,3 +250,73 @@ def test_console_script_end_to_end(tmp_path):
     assert result.returncode == 0, result.stderr
     report = json.loads((tmp_path / "t2-to-s1.report.json").read_text())
     assert report["result"]["class"] in ([1], [-1])
+
+
+# -- input hardening --------------------------------------------------------------
+
+def _sign_identity_scenario(tmp_path, terms, count=50):
+    scenario = {
+        "name": f"sign-identity-terms{terms}",
+        "pair": {"ambient_dim": 3, "codim": 2, "normal_orientation": 1},
+        "group": "Z",
+        "window": {"lo": [-6, -6, -6], "hi": [6, 6, 6]},
+        "r_max": 1,
+        "seed": 7,
+        "perturb": False,
+        "pipeline": [
+            {"op": "sign_identity", "count": count, "degree": 3,
+             "terms": terms, "spread": 0, "box": 0},
+        ],
+    }
+    path = tmp_path / f"terms{terms}-count{count}.json"
+    path.write_text(json.dumps(scenario))
+    return path
+
+
+def test_sign_identity_without_usable_draws_stops_at_the_cap(tmp_path, capsys):
+    # One term at the origin is always in degenerate position: the rejection
+    # loop must end at its cap instead of running forever.
+    assert main(["run", str(_sign_identity_scenario(tmp_path, 1))]) == 1
+    err = capsys.readouterr().err
+    assert "step 0 (sign_identity)" in err
+    assert "attempt cap 5000" in err
+
+
+def test_sign_identity_does_not_count_zero_chains(tmp_path):
+    # Three terms at the origin are degenerate or cancel to the zero chain;
+    # zero chains are rejections, so there is nothing to check.
+    with pytest.raises(ScenarioError, match="0 of 50 chains checked"):
+        run_scenario(_sign_identity_scenario(tmp_path, 3))
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_sign_identity_needs_a_positive_count(tmp_path, count):
+    with pytest.raises(ScenarioError, match="count >= 1"):
+        run_scenario(_sign_identity_scenario(tmp_path, 2, count))
+
+
+def test_window_dimension_must_match_pair(tmp_path, capsys):
+    config = load_scenario("t3-to-s1")
+    config["window"] = {"lo": [-3, -3], "hi": [3, 3]}
+    path = tmp_path / "flat-window.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ScenarioError, match="window has dimension 2"):
+        run_scenario(path)
+    assert main(["run", str(path)]) == 1
+    assert "window has dimension 2" in capsys.readouterr().err
+
+
+def test_cli_homology_bad_rmax_exits_1(capsys):
+    assert main(["homology", "--torus", "2", "--rmax", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["two", "-1", "1.5"])
+def test_cli_bad_thread_count_exits_1(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("COARSE_CHAINS_THREADS", value)
+    for scenarios in (["t2-to-s1"], ["t2-to-s1", "t3-to-s1"]):
+        assert main(["run", *scenarios, "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: COARSE_CHAINS_THREADS") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
