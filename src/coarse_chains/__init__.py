@@ -9,11 +9,9 @@ from .equivariant import (
     TranslationAction,
     TruncationError,
     build_quotient_complex,
-    equivariant_boundary,
     equivariant_wrong_way,
     identify_class,
     kuhn_fundamental_cycle,
-    orbit_normalize,
     restrict_equivariance,
     snf_homology,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "cap_thom",
     "chain_stats",
     "cocycle_check",
-    "equivariant_boundary",
     "equivariant_wrong_way",
     "fill",
     "flat_projection",
@@ -73,7 +70,6 @@ __all__ = [
     "identify_class",
     "kuhn_fundamental_cycle",
     "nearest_in_net",
-    "orbit_normalize",
     "orientation_sign",
     "push_tuplewise",
     "restrict_equivariance",

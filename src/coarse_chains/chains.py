@@ -5,6 +5,7 @@ A degree-k chain assigns a nonzero coefficient to finitely many
 vertices; the boundary operator handles the cancellation of degenerate
 tuples on its own.  All operations return canonical chains: zero
 coefficients are dropped and serialization orders terms lexicographically.
+Equivariant chains share this core, with orbit representatives as tuples.
 """
 
 from __future__ import annotations
@@ -37,55 +38,92 @@ def tuple_distance(space: LatticeSpace, a: ChainTuple, b: ChainTuple) -> int:
     return max(space.distance(p, q) for p, q in zip(a, b))
 
 
-class UfChain:
-    """Sparse chain: finite map from (degree+1)-tuples to nonzero coefficients."""
+def _accumulate(group: CoefficientGroup, items: Iterable[tuple[ChainTuple, Element]],
+                out: dict[ChainTuple, Element] | None = None) -> dict[ChainTuple, Element]:
+    """Sum (tuple, coefficient) pairs into a dict, dropping every zero sum."""
+    out = {} if out is None else out
+    add, is_zero, zero = group.add, group.is_zero, group.zero
+    for tup, coeff in items:
+        s = add(out.get(tup, zero), coeff)
+        if is_zero(s):
+            out.pop(tup, None)
+        else:
+            out[tup] = s
+    return out
 
-    __slots__ = ("degree", "space", "group", "terms")
 
-    def __init__(
-        self,
-        degree: int,
-        space: LatticeSpace,
-        group: CoefficientGroup,
-        terms: Mapping[ChainTuple, Element] | Iterable[tuple[ChainTuple, Element]] = (),
-    ) -> None:
+class _Chain:
+    """Chain core shared by plain and equivariant chains.
+
+    A chain is a finite map from canonical (degree+1)-tuples to nonzero
+    coefficients over a carrier: a lattice space for a plain chain, a
+    translation action for an equivariant one, whose tuples are then orbit
+    representatives.  Subclasses name the carrier's JSON key and type and
+    say how a tuple maps to its canonical representative.
+    """
+
+    __slots__ = ("degree", "carrier", "group", "terms")
+
+    _CARRIER_KEY: str
+    _CARRIER_TYPE: type
+
+    def _normalizer(self) -> Callable[[ChainTuple], ChainTuple] | None:
+        """Map from a tuple to its canonical representative; None for the identity."""
+        return None
+
+    def _validate(self, degree: int, carrier, group: CoefficientGroup,
+                  terms: Mapping[ChainTuple, Element] | Iterable[tuple[ChainTuple, Element]]
+                  ) -> None:
         if degree < 0:
             raise ValueError("degree must be >= 0")
         self.degree = degree
-        self.space = space
+        self.carrier = carrier
         self.group = group
-        clean: dict[ChainTuple, Element] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for tup, coeff in items:
-            tup = tuple(space.check_point(tuple(p)) for p in tup)
-            if len(tup) != degree + 1:
-                raise ValueError(f"tuple arity {len(tup)} does not match degree {degree}")
-            coeff = group.add(clean.get(tup, group.zero), group.coerce(coeff))
-            if group.is_zero(coeff):
-                clean.pop(tup, None)
-            else:
-                clean[tup] = coeff
-        self.terms = clean
+        space, normalize = self.space, self._normalizer()
+
+        def checked():
+            for tup, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+                tup = tuple(space.check_point(tuple(p)) for p in tup)
+                if len(tup) != degree + 1:
+                    raise ValueError(f"tuple arity {len(tup)} does not match degree {degree}")
+                yield (tup if normalize is None else normalize(tup)), group.coerce(coeff)
+
+        self.terms = _accumulate(group, checked())
+
+    @classmethod
+    def _trusted(cls, degree: int, carrier, group: CoefficientGroup,
+                 terms: dict[ChainTuple, Element]):
+        """Internal builder: terms are already canonical, nonzero and coerced."""
+        chain = object.__new__(cls)
+        chain.degree = degree
+        chain.carrier = carrier
+        chain.group = group
+        chain.terms = terms
+        return chain
+
+    def _like(self, degree: int, terms: dict[ChainTuple, Element]):
+        return self._trusted(degree, self.carrier, self.group, terms)
 
     # -- value semantics -------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UfChain):
+        if type(other) is not type(self):
             return NotImplemented
         return (
             self.degree == other.degree
-            and self.space == other.space
+            and self.carrier == other.carrier
             and self.group == other.group
             and self.terms == other.terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.degree, self.space, self.group, tuple(self.sorted_terms())))
+        return hash((self.degree, self.carrier, self.group, tuple(self.sorted_terms())))
 
     def __repr__(self) -> str:
         parts = [f"{c}*{t}" for t, c in self.sorted_terms()]
         body = " + ".join(parts) if parts else "0"
-        return f"UfChain(deg={self.degree}, Z^{self.space.dim}, {self.group.name}: {body})"
+        return (f"{type(self).__name__}(deg={self.degree}, Z^{self.space.dim}, "
+                f"{self.group.name}: {body})")
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -102,40 +140,34 @@ class UfChain:
 
     # -- module structure -------------------------------------------------
 
-    def _like(self, terms: Iterable[tuple[ChainTuple, Element]]) -> "UfChain":
-        return UfChain(self.degree, self.space, self.group, terms)
-
-    def __add__(self, other: "UfChain") -> "UfChain":
-        if (self.degree, self.space, self.group) != (other.degree, other.space, other.group):
+    def __add__(self, other):
+        if (type(self), self.degree, self.carrier, self.group) != (
+                type(other), other.degree, other.carrier, other.group):
             raise ValueError("chains not compatible for addition")
-        out = dict(self.terms)
-        for tup, coeff in other.terms.items():
-            s = self.group.add(out.get(tup, self.group.zero), coeff)
-            if self.group.is_zero(s):
-                out.pop(tup, None)
-            else:
-                out[tup] = s
-        return self._like(out.items())
+        return self._like(self.degree,
+                          _accumulate(self.group, other.terms.items(), dict(self.terms)))
 
-    def __neg__(self) -> "UfChain":
-        return self._like((t, self.group.neg(c)) for t, c in self.terms.items())
+    def __neg__(self):
+        return self.scale(-1)
 
-    def __sub__(self, other: "UfChain") -> "UfChain":
+    def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, m: int) -> "UfChain":
-        return self._like((t, self.group.scale(m, c)) for t, c in self.terms.items())
+    def scale(self, m: int):
+        group = self.group
+        scaled = ((t, group.scale(m, c)) for t, c in self.terms.items())
+        return self._like(self.degree, {t: c for t, c in scaled if not group.is_zero(c)})
 
     @classmethod
-    def zero(cls, degree: int, space: LatticeSpace, group: CoefficientGroup) -> "UfChain":
-        return cls(degree, space, group)
+    def zero(cls, degree: int, carrier, group: CoefficientGroup):
+        return cls(degree, carrier, group)
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
         return {
             "degree": self.degree,
-            "space": self.space.to_json(),
+            self._CARRIER_KEY: self.carrier.to_json(),
             "group": self.group.name,
             "terms": [
                 {"coeff": self.group.to_json(c), "tuple": [list(p) for p in t]}
@@ -144,32 +176,67 @@ class UfChain:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "UfChain":
-        space = LatticeSpace.from_json(data["space"])
-        group = group_by_name(data["group"])
+    def from_json(cls, data: dict):
+        """Decode outside input; every malformed field raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("chain JSON must be an object")
+        try:
+            degree, items = data["degree"], data["terms"]
+            group = group_by_name(data["group"])
+            carrier = cls._CARRIER_TYPE.from_json(data[cls._CARRIER_KEY])
+        except KeyError as exc:
+            raise ValueError(f"chain JSON is missing key {exc}") from None
+        except (AttributeError, TypeError) as exc:
+            raise ValueError(f"bad chain {cls._CARRIER_KEY}: {exc}") from None
+        if type(degree) is not int or not isinstance(items, list):
+            raise ValueError(f"chain degree must be an integer and terms a list, "
+                             f"got {degree!r} and {items!r}")
         terms = []
-        for item in data["terms"]:
-            tup = tuple(tuple(int(c) for c in p) for p in item["tuple"])
-            terms.append((tup, group.from_json(item["coeff"])))
-        return cls(int(data["degree"]), space, group, terms)
+        for item in items:
+            if not (isinstance(item, dict) and "coeff" in item
+                    and isinstance(item.get("tuple"), list)
+                    and all(isinstance(p, list) for p in item["tuple"])):
+                raise ValueError(f"chain term must be {{'coeff': c, 'tuple': [[...], ...]}}, "
+                                 f"got {item!r}")
+            terms.append((tuple(map(tuple, item["tuple"])), group.from_json(item["coeff"])))
+        return cls(degree, carrier, group, terms)
 
 
-def boundary(c: UfChain) -> UfChain:
-    """Simplicial boundary: alternating sum of vertex-dropped tuples."""
+class UfChain(_Chain):
+    """Sparse chain: finite map from (degree+1)-tuples to nonzero coefficients."""
+
+    __slots__ = ()
+
+    _CARRIER_KEY = "space"
+    _CARRIER_TYPE = LatticeSpace
+
+    def __init__(
+        self,
+        degree: int,
+        space: LatticeSpace,
+        group: CoefficientGroup,
+        terms: Mapping[ChainTuple, Element] | Iterable[tuple[ChainTuple, Element]] = (),
+    ) -> None:
+        self._validate(degree, space, group, terms)
+
+    @property
+    def space(self) -> LatticeSpace:
+        return self.carrier
+
+
+def boundary(c: _Chain) -> _Chain:
+    """Simplicial boundary: alternating sum of vertex-dropped tuples.
+
+    Faces of an equivariant chain are re-normalized to orbit representatives.
+    """
     if c.degree == 0:
         raise ValueError("boundary of a degree-0 chain is undefined")
-    group = c.group
-    out: dict[ChainTuple, Element] = {}
-    for tup, coeff in c.terms.items():
-        for j in range(len(tup)):
-            face = tup[:j] + tup[j + 1:]
-            val = group.scale(-1 if j % 2 else 1, coeff)
-            s = group.add(out.get(face, group.zero), val)
-            if group.is_zero(s):
-                out.pop(face, None)
-            else:
-                out[face] = s
-    return UfChain(c.degree - 1, c.space, group, out)
+    scale, normalize = c.group.scale, c._normalizer()
+    faces = ((tup[:j] + tup[j + 1:], scale(-1 if j % 2 else 1, coeff))
+             for tup, coeff in c.terms.items() for j in range(len(tup)))
+    if normalize is not None:
+        faces = ((normalize(face), coeff) for face, coeff in faces)
+    return c._like(c.degree - 1, _accumulate(c.group, faces))
 
 
 def uf_norm(c: UfChain, n: int) -> Fraction:
@@ -241,13 +308,6 @@ def push_tuplewise(c: UfChain, f: Callable[[Point], Point],
     their own, so pushforward commutes with the boundary exactly.
     """
     target = target or c.space
-    group = c.group
-    out: dict[ChainTuple, Element] = {}
-    for tup, coeff in c.terms.items():
-        image = tuple(target.check_point(tuple(f(p))) for p in tup)
-        s = group.add(out.get(image, group.zero), coeff)
-        if group.is_zero(s):
-            out.pop(image, None)
-        else:
-            out[image] = s
-    return UfChain(c.degree, target, group, out)
+    images = ((tuple(target.check_point(tuple(f(p))) for p in tup), coeff)
+              for tup, coeff in c.terms.items())
+    return UfChain._trusted(c.degree, target, c.group, _accumulate(c.group, images))

@@ -27,6 +27,8 @@ class CoefficientGroup:
     name: str
 
     def coerce(self, value: Any) -> Element:
+        if isinstance(value, bool):
+            raise GroupMismatch(f"a boolean is not a coefficient: {value!r}")
         if self.name == "Z":
             if isinstance(value, int):
                 return value
@@ -67,12 +69,14 @@ class CoefficientGroup:
         return int(a)
 
     def from_json(self, value: Any) -> Element:
-        if self.name == "Q":
-            if isinstance(value, str):
-                num, _, den = value.partition("/")
+        """Decode outside input: an integer, or "num/den" / "num" over Q."""
+        if self.name == "Q" and isinstance(value, str):
+            num, _, den = value.partition("/")
+            try:
                 return Fraction(int(num), int(den) if den else 1)
-            return Fraction(int(value))
-        return self.coerce(int(value))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {value!r}") from None
+        return self.coerce(value)
 
 
 INTEGERS = CoefficientGroup("Z")
@@ -85,5 +89,5 @@ _BY_NAME = {"Z": INTEGERS, "Z/2": INTEGERS_MOD_2, "Q": RATIONALS}
 def group_by_name(name: str) -> CoefficientGroup:
     try:
         return _BY_NAME[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown coefficient group {name!r}") from None

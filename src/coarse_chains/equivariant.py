@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .chains import ChainTuple, UfChain, tuple_length
-from .coeffs import CoefficientGroup, Element, INTEGERS, group_by_name
-from .geometry import DegeneratePosition, FlatPair, fill, thom_crossing
+from .chains import ChainTuple, UfChain, _accumulate, _Chain, boundary
+from .coeffs import CoefficientGroup, Element, INTEGERS
+from .geometry import FlatPair, _adjugate, _det, _matrix_rank
+from .geometry import thom_crossing  # noqa: F401 - the thom-sign mutation and perfbench patch it
 from .intlinalg import (
     SmithSolver,
     SparseIntMatrix,
@@ -27,31 +28,13 @@ from .intlinalg import (
     solve_int,  # noqa: F401 - still importable from here; perfbench's self-tests watch it
 )
 from .spaces import LatticeSpace, Point, Window
-from .wrongway import WrongWayContext
+from .wrongway import WrongWayContext, cap_thom
 
 Vector = tuple[int, ...]
 
 
 class TruncationError(ValueError):
     """A spread/radius bound was too small to represent the requested data."""
-
-
-def _frac_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(rows)
-    m = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
 
 
 @dataclass(frozen=True)
@@ -80,17 +63,18 @@ class TranslationAction:
         # Pick the first r coordinate rows on which the generators are
         # independent; they define exact rational lattice coordinates.
         pivot_rows: list[int] = []
-        basis: list[list[Fraction]] = []
+        basis: list[list[int]] = []
         for row_idx in range(n):
             if len(pivot_rows) == r:
                 break
-            candidate = basis + [[Fraction(g[row_idx]) for g in gens]]
-            if _frac_rank(candidate) == len(candidate):
+            candidate = basis + [[g[row_idx] for g in gens]]
+            if _matrix_rank(candidate) == len(candidate):
                 basis = candidate
                 pivot_rows.append(row_idx)
         if len(pivot_rows) != r:
             raise ValueError("generators are linearly dependent")
-        inverse = _frac_inverse(basis) if r else []
+        det = _det(basis)
+        inverse = [[Fraction(a, det) for a in row] for row in _adjugate(basis)] if r else []
         object.__setattr__(self, "_pivot_rows", tuple(pivot_rows))
         object.__setattr__(self, "_coord_matrix",
                            tuple(tuple(row) for row in inverse))
@@ -189,8 +173,7 @@ class TranslationAction:
 
     @classmethod
     def from_json(cls, data: dict) -> "TranslationAction":
-        return cls(LatticeSpace.from_json(data["space"]),
-                   tuple(tuple(int(c) for c in g) for g in data["generators"]))
+        return cls(LatticeSpace.from_json(data["space"]), data["generators"])
 
     @classmethod
     def standard(cls, dim: int) -> "TranslationAction":
@@ -207,28 +190,13 @@ class TranslationAction:
         return cls(LatticeSpace(n), gens)
 
 
-def _frac_rank(rows: list[list[Fraction]]) -> int:
-    m = [row[:] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-class EquivariantChain:
+class EquivariantChain(_Chain):
     """Chain invariant under a translation action, stored on orbit reps."""
 
-    __slots__ = ("degree", "action", "group", "terms")
+    __slots__ = ()
+
+    _CARRIER_KEY = "action"
+    _CARRIER_TYPE = TranslationAction
 
     def __init__(
         self,
@@ -237,67 +205,18 @@ class EquivariantChain:
         group: CoefficientGroup,
         terms: Mapping[ChainTuple, Element] | Iterable[tuple[ChainTuple, Element]] = (),
     ) -> None:
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        self.degree = degree
-        self.action = action
-        self.group = group
-        space = action.space
-        clean: dict[ChainTuple, Element] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for tup, coeff in items:
-            tup = tuple(space.check_point(tuple(p)) for p in tup)
-            if len(tup) != degree + 1:
-                raise ValueError(f"tuple arity {len(tup)} does not match degree {degree}")
-            rep = action.normalize_tuple(tup)
-            coeff = group.add(clean.get(rep, group.zero), group.coerce(coeff))
-            if group.is_zero(coeff):
-                clean.pop(rep, None)
-            else:
-                clean[rep] = coeff
-        self.terms = clean
+        self._validate(degree, action, group, terms)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EquivariantChain):
-            return NotImplemented
-        return (
-            self.degree == other.degree
-            and self.action == other.action
-            and self.group == other.group
-            and self.terms == other.terms
-        )
+    @property
+    def action(self) -> TranslationAction:
+        return self.carrier
 
-    def __repr__(self) -> str:
-        parts = [f"{c}*{t}" for t, c in self.sorted_terms()]
-        body = " + ".join(parts) if parts else "0"
-        return f"EquivariantChain(deg={self.degree}, rank={self.action.rank}: {body})"
+    @property
+    def space(self) -> LatticeSpace:
+        return self.carrier.space
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self) -> list[tuple[ChainTuple, Element]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
-    def propagation(self) -> int:
-        return max(
-            (tuple_length(self.action.space, t) for t in self.terms), default=0)
-
-    def __add__(self, other: "EquivariantChain") -> "EquivariantChain":
-        if (self.degree, self.action, self.group) != (other.degree, other.action, other.group):
-            raise ValueError("equivariant chains not compatible for addition")
-        merged = list(self.terms.items()) + list(other.terms.items())
-        return EquivariantChain(self.degree, self.action, self.group, merged)
-
-    def __neg__(self) -> "EquivariantChain":
-        return self.scale(-1)
-
-    def __sub__(self, other: "EquivariantChain") -> "EquivariantChain":
-        return self + (-other)
-
-    def scale(self, m: int) -> "EquivariantChain":
-        return EquivariantChain(
-            self.degree, self.action, self.group,
-            ((t, self.group.scale(m, c)) for t, c in self.terms.items()))
+    def _normalizer(self):
+        return self.carrier.normalize_tuple
 
     def expand(self, window: Window) -> UfChain:
         """Orbit sum restricted to translates lying entirely in the window."""
@@ -310,46 +229,7 @@ class EquivariantChain:
             box_hi = [a - b for a, b in zip(window.hi, hi)]
             for offset in self.action.lattice_vectors_in_box(box_lo, box_hi):
                 out.append((self.action.translate_tuple(tup, offset), coeff))
-        return UfChain(self.degree, space, self.group, out)
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "action": self.action.to_json(),
-            "group": self.group.name,
-            "terms": [
-                {"coeff": self.group.to_json(c), "tuple": [list(p) for p in t]}
-                for t, c in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "EquivariantChain":
-        action = TranslationAction.from_json(data["action"])
-        group = group_by_name(data["group"])
-        terms = []
-        for item in data["terms"]:
-            tup = tuple(tuple(int(c) for c in p) for p in item["tuple"])
-            terms.append((tup, group.from_json(item["coeff"])))
-        return cls(int(data["degree"]), action, group, terms)
-
-
-def orbit_normalize(tup: ChainTuple, action: TranslationAction) -> ChainTuple:
-    """Canonical orbit representative: the first vertex is translated into
-    the half-open fundamental parallelepiped of the action."""
-    return action.normalize_tuple(tup)
-
-
-def equivariant_boundary(c: EquivariantChain) -> EquivariantChain:
-    """Boundary on orbit representatives, re-normalized orbit-wise."""
-    if c.degree == 0:
-        raise ValueError("boundary of a degree-0 chain is undefined")
-    terms: list[tuple[ChainTuple, Element]] = []
-    for tup, coeff in c.terms.items():
-        for j in range(len(tup)):
-            face = tup[:j] + tup[j + 1:]
-            terms.append((face, c.group.scale(-1 if j % 2 else 1, coeff)))
-    return EquivariantChain(c.degree - 1, c.action, c.group, terms)
+        return UfChain._trusted(self.degree, space, self.group, _accumulate(self.group, out))
 
 
 def _permutation_sign(perm: Sequence[int]) -> int:
@@ -377,9 +257,7 @@ def kuhn_fundamental_cycle(n: int, group: CoefficientGroup = INTEGERS) -> Equiva
         for axis in perm:
             last = vertices[-1]
             vertices.append(tuple(c + (1 if i == axis else 0) for i, c in enumerate(last)))
-        terms.append((tuple(vertices), group.coerce(_permutation_sign(perm) % 2
-                                                    if group.name == "Z/2"
-                                                    else _permutation_sign(perm))))
+        terms.append((tuple(vertices), group.coerce(_permutation_sign(perm))))
     return EquivariantChain(n, action, group, terms)
 
 
@@ -405,7 +283,7 @@ def restrict_equivariance(
         raise TruncationError(
             f"radius {radius} below chain propagation {c.propagation()}")
     if sub == action:
-        return EquivariantChain(c.degree, sub, c.group, c.terms)
+        return EquivariantChain._trusted(c.degree, sub, c.group, dict(c.terms))
     for g in sub.generators:
         if any(pair.normal_part(g)):
             raise ValueError(f"sublattice generator {g} does not preserve the flat")
@@ -443,8 +321,8 @@ def restrict_equivariance(
             coeffs = normal_solver.solve(z)
             assert coeffs is not None, "normal image enumeration left the lattice"
             offset = action.vector_from_coeffs(coeffs)
-            out.append((action.translate_tuple(tup, offset), coeff))
-    return EquivariantChain(c.degree, sub, c.group, out)
+            out.append((sub.normalize_tuple(action.translate_tuple(tup, offset)), coeff))
+    return EquivariantChain._trusted(c.degree, sub, c.group, _accumulate(c.group, out))
 
 
 def _lattice_basis_of_columns(matrix: list[list[int]]) -> list[Vector]:
@@ -471,33 +349,18 @@ def equivariant_wrong_way(c: EquivariantChain, ctx: WrongWayContext) -> Equivari
     the whole orbit; the image action is the induced lattice on the flat.
     """
     pair = ctx.pair
-    action = c.action
-    q = pair.codim
-    if c.group != ctx.group:
-        raise ValueError("chain coefficient group does not match the context")
-    if action.space.dim != pair.ambient_dim:
-        raise ValueError("chain does not live on the pair's ambient lattice")
-    if c.degree < q:
-        raise ValueError(f"cannot cap a degree-{c.degree} chain with a degree-{q} class")
-    for g in action.generators:
+    for g in c.action.generators:
         if any(pair.normal_part(g)):
             raise ValueError(f"action generator {g} does not preserve the flat")
-    target_action = TranslationAction(
+    capped = cap_thom(c, ctx)
+    target = TranslationAction(
         LatticeSpace(pair.flat_dim),
-        tuple(pair.tangential_part(g) for g in action.generators),
+        tuple(pair.tangential_part(g) for g in c.action.generators),
     )
-    group = c.group
-    out: list[tuple[ChainTuple, Element]] = []
-    for tup, coeff in c.terms.items():
-        try:
-            theta = thom_crossing(fill(tup[: q + 1]), pair, ctx.perturb)
-        except DegeneratePosition as exc:
-            raise DegeneratePosition(str(exc), simplex=exc.simplex, chain_tuple=tup) from None
-        if theta == 0:
-            continue
-        image = tuple(pair.tangential_part(p) for p in tup[q:])
-        out.append((image, group.scale(theta, coeff)))
-    return EquivariantChain(c.degree - q, target_action, group, out)
+    images = ((target.normalize_tuple(tuple(pair.tangential_part(p) for p in tup)), coeff)
+              for tup, coeff in capped.terms.items())
+    return EquivariantChain._trusted(capped.degree, target, capped.group,
+                                     _accumulate(capped.group, images))
 
 
 # -- quotient complexes ----------------------------------------------------
@@ -656,7 +519,7 @@ def identify_class(cycle: EquivariantChain, complex_: QuotientComplex) -> list[i
     d = cycle.degree
     if d not in complex_.bases or d + 1 not in complex_.matrices:
         raise ValueError(f"complex does not cover degree {d} (need degree {d + 1} too)")
-    if d >= 1 and not equivariant_boundary(cycle).is_zero():
+    if d >= 1 and not boundary(cycle).is_zero():
         raise ValueError("chain is not a cycle")
     # On an oriented-basis complex, project ordered tuples to their sorted
     # representative with the permutation sign; repeated vertices project

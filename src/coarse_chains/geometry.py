@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .coeffs import CoefficientGroup, Element, INTEGERS
+from .coeffs import CoefficientGroup, Element, INTEGERS, RATIONALS
 
 Coord = int | Fraction
 Vertex = tuple[Coord, ...]
@@ -36,17 +36,8 @@ class DegeneratePosition(ValueError):
         self.chain_tuple = chain_tuple
 
 
-def _coord_to_json(c: Coord) -> str:
-    f = Fraction(c)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _coord_from_json(v) -> Coord:
-    if isinstance(v, str):
-        num, _, den = v.partition("/")
-        f = Fraction(int(num), int(den) if den else 1)
-    else:
-        f = Fraction(int(v))
+    f = RATIONALS.from_json(v)
     return int(f) if f.denominator == 1 else f
 
 
@@ -96,7 +87,7 @@ class AffineSimplex:
     def to_json(self) -> dict:
         return {
             "ambient_dim": self.ambient_dim,
-            "vertices": [[_coord_to_json(c) for c in v] for v in self.vertices],
+            "vertices": [[RATIONALS.to_json(c) for c in v] for v in self.vertices],
         }
 
     @classmethod

@@ -30,7 +30,7 @@ class LatticeSpace:
             raise ValueError(f"lattice dimension must be >= 0, got {self.dim}")
 
     def check_point(self, p: Point) -> Point:
-        if len(p) != self.dim or not all(isinstance(c, int) for c in p):
+        if len(p) != self.dim or not all(type(c) is int for c in p):
             raise ValueError(f"not a point of Z^{self.dim}: {p!r}")
         return p
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import random
-from fractions import Fraction
 from typing import Callable, Iterator
 
 from . import equivariant as _equivariant_mod
@@ -31,6 +30,7 @@ from .equivariant import (
 )
 from .geometry import DegeneratePosition, FlatPair, cocycle_check, fill
 from .intlinalg import SparseIntMatrix
+from .sampling import GENERAL_POSITION_ATTEMPTS, general_position_chain, random_chain
 from .spaces import LatticeSpace
 from .wrongway import WrongWayContext, cap_thom, sign_identity_residual, wrong_way
 
@@ -60,41 +60,6 @@ def _patched_thom_sign() -> Iterator[None]:
         _equivariant_mod.thom_crossing = original
 
 
-def _random_coeff(rng: random.Random, group: CoefficientGroup):
-    if group is RATIONALS:
-        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
-    if group is INTEGERS_MOD_2:
-        return 1
-    return rng.choice([-3, -2, -1, 1, 2, 3])
-
-
-def _random_chain(rng: random.Random, space: LatticeSpace, degree: int,
-                  group: CoefficientGroup, n_terms: int = 4, box: int = 3,
-                  spread: int = 2) -> UfChain:
-    terms: list[tuple[tuple, object]] = []
-    for _ in range(n_terms):
-        base = tuple(rng.randint(-box, box) for _ in range(space.dim))
-        tup = tuple(
-            tuple(b + rng.randint(-spread, spread) for b in base)
-            for _ in range(degree + 1)
-        )
-        terms.append((tup, _random_coeff(rng, group)))
-    return UfChain(degree, space, group, terms)
-
-
-def _general_position_chain(rng: random.Random, pair: FlatPair, degree: int,
-                            group: CoefficientGroup, ctx: WrongWayContext) -> UfChain:
-    """Rejection-sample a chain on which the wrong-way identities evaluate."""
-    space = LatticeSpace(pair.ambient_dim)
-    while True:
-        c = _random_chain(rng, space, degree, group)
-        try:
-            sign_identity_residual(c, ctx)
-        except DegeneratePosition:
-            continue
-        return c
-
-
 def _check_boundary_squared(seed: int, chains_per_case: int) -> tuple[bool, str]:
     rng = random.Random(seed)
     total = 0
@@ -103,7 +68,7 @@ def _check_boundary_squared(seed: int, chains_per_case: int) -> tuple[bool, str]
             for dim in (1, 2, 3):
                 space = LatticeSpace(dim)
                 for _ in range(chains_per_case):
-                    c = _random_chain(rng, space, degree, group)
+                    c = random_chain(rng, space, degree, group)
                     if not boundary(boundary(c)).is_zero():
                         return False, f"dd != 0 on {c!r}"
                     total += 1
@@ -134,16 +99,19 @@ def _check_cocycle(seed: int, per_pair: int) -> tuple[bool, str]:
     checked = 0
     for n, q in PAIR_SET:
         pair = FlatPair(n, q)
-        done = 0
-        while done < per_pair:
-            verts = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(q + 2)]
-            try:
-                value = cocycle_check(fill(verts), pair)
-            except DegeneratePosition:
-                continue
+        for _ in range(per_pair):
+            for _ in range(GENERAL_POSITION_ATTEMPTS):
+                verts = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(q + 2)]
+                try:
+                    value = cocycle_check(fill(verts), pair)
+                except DegeneratePosition:
+                    continue
+                break
+            else:
+                raise ValueError(f"no general-position simplex for the pair (n={n}, q={q}) "
+                                 f"in {GENERAL_POSITION_ATTEMPTS} attempts")
             if value != 0:
                 return False, f"cocycle defect {value} at {verts} (n={n}, q={q})"
-            done += 1
             checked += 1
     return True, f"Thom cocycle vanishes on {checked} general-position simplices"
 
@@ -156,7 +124,7 @@ def _check_sign_identity(seed: int, per_case: int, drop_sign: bool) -> tuple[boo
         ctx = WrongWayContext(pair, INTEGERS)
         for degree in (q + 1, q + 2):
             for _ in range(per_case):
-                c = _general_position_chain(rng, pair, degree, INTEGERS, ctx)
+                c = general_position_chain(rng, pair, degree, ctx)
                 lhs = boundary(wrong_way(c, ctx))
                 factor = 1 if drop_sign else (-1 if q % 2 else 1)
                 rhs = wrong_way(boundary(c), ctx).scale(factor)
@@ -175,7 +143,7 @@ def _check_support_locality(seed: int, count: int) -> tuple[bool, str]:
         pair = FlatPair(n, q)
         ctx = WrongWayContext(pair, INTEGERS)
         for _ in range(count):
-            c = _general_position_chain(rng, pair, q + 1, INTEGERS, ctx)
+            c = general_position_chain(rng, pair, q + 1, ctx)
             radius = c.propagation()
             capped = cap_thom(c, ctx)
             for tup in capped.terms:
@@ -214,14 +182,11 @@ def _check_norm_growth(seed: int, count: int) -> tuple[bool, str]:
     return True, f"weighted norms non-increasing on {checked} separated chains"
 
 
-def _torus_betti_via(matrices: dict[int, SparseIntMatrix], sizes: dict[int, int],
-                     degrees: range) -> dict[int, int]:
-    ranks = {d: m.rank_and_factors()[0] for d, m in matrices.items()}
-    return {
-        d: sizes[d] - ranks.get(d, 0) - ranks.get(d + 1, 0)
-        for d in degrees
-        if d + 1 in matrices or d + 1 in sizes
-    }
+def _transposed(m: SparseIntMatrix) -> SparseIntMatrix:
+    dense = m.to_dense()
+    return SparseIntMatrix(
+        m.ncols, m.nrows,
+        [(c, r, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v])
 
 
 def _check_snf_cross(transpose_mutation: bool) -> tuple[bool, str]:
@@ -231,33 +196,22 @@ def _check_snf_cross(transpose_mutation: bool) -> tuple[bool, str]:
         matrices = dict(qc.matrices)
         if transpose_mutation:
             top = max(matrices)
-            dense = matrices[top].to_dense()
-            flipped = SparseIntMatrix(
-                matrices[top].ncols, matrices[top].nrows,
-                [(c, r, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v])
-            matrices[top] = flipped
+            matrices[top] = _transposed(matrices[top])
+        sizes = {d: qc.basis_size(d) for d in qc.degrees}
+
+        def betti_of(ranks):
+            return {d: sizes[d] - ranks.get(d, (0, []))[0] - ranks.get(d + 1, (0, []))[0]
+                    for d in qc.degrees if d + 1 in matrices}
+
         try:
             # Direct route.
-            sizes = {d: qc.basis_size(d) for d in qc.degrees}
             ranks = {d: m.clone().rank_and_factors() for d, m in matrices.items()}
-            betti = {
-                d: sizes[d] - ranks.get(d, (0, []))[0] - ranks.get(d + 1, (0, []))[0]
-                for d in qc.degrees if d + 1 in matrices
-            }
+            betti = betti_of(ranks)
             torsion = {d: [x for x in ranks[d + 1][1] if x > 1]
                        for d in qc.degrees if d + 1 in ranks}
             # Independent route: the same data from the transposed matrices.
-            ranks_t = {}
-            for d, m in matrices.items():
-                dense = m.to_dense()
-                t = SparseIntMatrix(
-                    m.ncols, m.nrows,
-                    [(c, r, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v])
-                ranks_t[d] = t.rank_and_factors()
-            betti_t = {
-                d: sizes[d] - ranks_t.get(d, (0, []))[0] - ranks_t.get(d + 1, (0, []))[0]
-                for d in qc.degrees if d + 1 in matrices
-            }
+            betti_t = betti_of({d: _transposed(m).rank_and_factors()
+                                for d, m in matrices.items()})
             # Composition must vanish for the data to be a complex at all.
             for d in qc.degrees:
                 if d in matrices and d + 1 in matrices:
@@ -284,20 +238,22 @@ def _check_torus_homology() -> tuple[bool, str]:
     return True, "torus betti (1,1), (1,2,1), (1,3,3,1) torsion-free"
 
 
+def _transport(cycle, pair: FlatPair) -> list[int]:
+    """Class of the wrong-way image of an equivariant cycle in the flat's torus."""
+    sub = TranslationAction.tangential(pair)
+    restricted = restrict_equivariance(cycle, sub, pair, cycle.propagation())
+    image = equivariant_wrong_way(restricted, WrongWayContext(pair, INTEGERS, perturb=True))
+    qc = build_quotient_complex(
+        TranslationAction.standard(pair.flat_dim), 1, range(pair.flat_dim + 2))
+    return identify_class(image, qc)
+
+
 def _check_transport() -> tuple[bool, str]:
     results = {}
     for n, q in ((2, 1), (3, 1), (3, 2)):
         coords = {}
         for orientation in (1, -1):
-            pair = FlatPair(n, q, orientation)
-            cycle = kuhn_fundamental_cycle(n)
-            sub = TranslationAction.tangential(pair)
-            restricted = restrict_equivariance(cycle, sub, pair, cycle.propagation())
-            image = equivariant_wrong_way(
-                restricted, WrongWayContext(pair, INTEGERS, perturb=True))
-            qc = build_quotient_complex(
-                TranslationAction.standard(n - q), 1, range(n - q + 2))
-            cls = identify_class(image, qc)
+            cls = _transport(kuhn_fundamental_cycle(n), FlatPair(n, q, orientation))
             if len(cls) != 1 or cls[0] not in (1, -1):
                 return False, f"(n,q)=({n},{q}): class {cls} is not a generator"
             coords[orientation] = cls[0]
@@ -313,24 +269,17 @@ def _check_filling_independence() -> tuple[bool, str]:
     # class (the cycle pushed through a flat-preserving unimodular shear)
     # must land in the same class.  Chain-level outputs differ.
     pair = FlatPair(2, 1)
-    ctx = WrongWayContext(pair, INTEGERS, perturb=True)
     cycle = kuhn_fundamental_cycle(2)
-    sub = TranslationAction.tangential(pair)
-    qc = build_quotient_complex(TranslationAction.standard(1), 1, range(3))
-
-    def transport(eq_cycle):
-        restricted = restrict_equivariance(eq_cycle, sub, pair, eq_cycle.propagation())
-        return identify_class(equivariant_wrong_way(restricted, ctx), qc)
 
     def shear(p):  # (x, y) -> (x + 2y, y): unimodular, preserves the flat
         return (p[0] + 2 * p[1], p[1])
 
-    base = transport(cycle)
+    base = _transport(cycle, pair)
     sheared_terms = [
         (tuple(shear(p) for p in tup), coeff) for tup, coeff in cycle.terms.items()
     ]
     sheared = type(cycle)(cycle.degree, cycle.action, cycle.group, sheared_terms)
-    other = transport(sheared)
+    other = _transport(sheared, pair)
     if base != other:
         return False, f"sheared representative changed the class: {base} vs {other}"
     return True, f"class {base} stable under a sheared representative"

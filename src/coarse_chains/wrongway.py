@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .chains import ChainTuple, UfChain, boundary, push_tuplewise
-from .coeffs import CoefficientGroup, Element, INTEGERS
+from .chains import UfChain, _accumulate, _Chain, boundary, push_tuplewise
+from .coeffs import CoefficientGroup, INTEGERS
 from .geometry import DegeneratePosition, FlatPair, fill, thom_crossing
 from .spaces import LatticeSpace, Point, Window
 
@@ -33,7 +33,7 @@ class WrongWayContext:
     perturb: bool = False
     window: Window | None = None
 
-    def check_chain(self, c: UfChain) -> None:
+    def check_chain(self, c: _Chain) -> None:
         if c.space.dim != self.pair.ambient_dim:
             raise ValueError("chain does not live on the pair's ambient lattice")
         if c.group != self.group:
@@ -53,11 +53,12 @@ def flat_projection(x: Point, pair: FlatPair) -> Point:
     return pair.tangential_part(x) + (0,) * pair.codim
 
 
-def cap_thom(c: UfChain, ctx: WrongWayContext) -> UfChain:
+def cap_thom(c: _Chain, ctx: WrongWayContext) -> _Chain:
     """Cap a degree-k chain with the Thom class: degree drops by q.
 
     Each tuple contributes its crossing number times the truncated tuple
-    (x_q, ..., x_k), still indexed by the ambient lattice.
+    (x_q, ..., x_k), still indexed by the ambient lattice.  An equivariant
+    chain is capped representative-wise and keeps its action.
     """
     q = ctx.pair.codim
     if c.degree < q:
@@ -65,23 +66,21 @@ def cap_thom(c: UfChain, ctx: WrongWayContext) -> UfChain:
     ctx.check_chain(c)
     group = ctx.group
     radius = c.propagation()
-    out: dict[ChainTuple, Element] = {}
-    for tup, coeff in c.terms.items():
-        try:
-            theta = thom_crossing(fill(tup[: q + 1]), ctx.pair, ctx.perturb)
-        except DegeneratePosition as exc:
-            raise DegeneratePosition(str(exc), simplex=exc.simplex, chain_tuple=tup) from None
-        if theta == 0:
-            continue
-        tail = tup[q:]
-        assert all(ctx.pair.flat_distance(p) <= radius for p in tail), \
-            "capped tuple escaped the propagation neighbourhood of the flat"
-        value = group.add(out.get(tail, group.zero), group.scale(theta, coeff))
-        if group.is_zero(value):
-            out.pop(tail, None)
-        else:
-            out[tail] = value
-    return UfChain(c.degree - q, c.space, group, out)
+
+    def capped():
+        for tup, coeff in c.terms.items():
+            try:
+                theta = thom_crossing(fill(tup[: q + 1]), ctx.pair, ctx.perturb)
+            except DegeneratePosition as exc:
+                raise DegeneratePosition(str(exc), simplex=exc.simplex, chain_tuple=tup) from None
+            if theta == 0:
+                continue
+            tail = tup[q:]
+            assert all(ctx.pair.flat_distance(p) <= radius for p in tail), \
+                "capped tuple escaped the propagation neighbourhood of the flat"
+            yield tail, group.scale(theta, coeff)
+
+    return c._like(c.degree - q, _accumulate(group, capped()))
 
 
 def wrong_way(c: UfChain, ctx: WrongWayContext) -> UfChain:

@@ -7,36 +7,15 @@ independent oracles rather than trusting the code under test.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from coarse_chains import INTEGERS, INTEGERS_MOD_2, RATIONALS, LatticeSpace, UfChain
+from coarse_chains import INTEGERS, INTEGERS_MOD_2, RATIONALS
+from coarse_chains.sampling import random_chain, random_coeff  # noqa: F401 - shared with tests
 
 ALL_GROUPS = (INTEGERS, INTEGERS_MOD_2, RATIONALS)
 
 PAIR_SET = ((2, 1), (3, 1), (3, 2), (4, 2))
-
-
-def random_coeff(rng: random.Random, group):
-    if group is RATIONALS:
-        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
-    if group is INTEGERS_MOD_2:
-        return 1
-    return rng.choice([-3, -2, -1, 1, 2, 3])
-
-
-def random_chain(rng: random.Random, space: LatticeSpace, degree: int, group,
-                 n_terms: int = 4, box: int = 3, spread: int = 2) -> UfChain:
-    terms = []
-    for _ in range(n_terms):
-        base = tuple(rng.randint(-box, box) for _ in range(space.dim))
-        tup = tuple(
-            tuple(b + rng.randint(-spread, spread) for b in base)
-            for _ in range(degree + 1)
-        )
-        terms.append((tup, random_coeff(rng, group)))
-    return UfChain(degree, space, group, terms)
 
 
 @pytest.fixture

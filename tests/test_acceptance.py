@@ -7,6 +7,7 @@ the implementation.  Runtime budgets are asserted where stated.
 
 import random
 import time
+from pathlib import Path
 
 from coarse_chains import (
     INTEGERS,
@@ -30,6 +31,7 @@ from coarse_chains import (
     uf_norm,
     wrong_way,
 )
+from coarse_chains.sampling import general_position_chain
 from coarse_chains.scenarios import canonical_dumps
 from coarse_chains.verify import MUTATIONS, run_verify
 
@@ -39,20 +41,6 @@ from conftest import ALL_GROUPS, PAIR_SET, random_chain
 def _criterion(number: int, label: str, ok: bool) -> None:
     print(f"{'PASS' if ok else 'FAIL'} criterion {number}: {label}")
     assert ok, f"criterion {number}: {label}"
-
-
-def _general_position_chain(rng, pair, degree, ctx):
-    space = LatticeSpace(pair.ambient_dim)
-    while True:
-        c = random_chain(rng, space, degree, INTEGERS)
-        try:
-            if degree >= pair.codim + 1:
-                sign_identity_residual(c, ctx)
-            else:
-                cap_thom(c, ctx)
-        except DegeneratePosition:
-            continue
-        return c
 
 
 def _separated_chain(rng, pair, degree):
@@ -140,7 +128,7 @@ def test_criterion_4_sign_identity():
         ctx = WrongWayContext(pair, INTEGERS)
         for degree in (q + 1, q + 2):
             for _ in range(150):
-                c = _general_position_chain(rng, pair, degree, ctx)
+                c = general_position_chain(rng, pair, degree, ctx)
                 if not sign_identity_residual(c, ctx).is_zero():
                     ok = False
                 total += 1
@@ -157,7 +145,7 @@ def test_criterion_5_support_locality():
         pair = FlatPair(n, q)
         ctx = WrongWayContext(pair, INTEGERS)
         for _ in range(50):
-            c = _general_position_chain(rng, pair, q + 1, ctx)
+            c = general_position_chain(rng, pair, q + 1, ctx)
             radius = c.propagation()
             capped = cap_thom(c, ctx)
             for tup in capped.terms:
@@ -234,7 +222,7 @@ def test_criterion_8_norm_continuity_shadow():
                     ok = False
         for _ in range(50):
             # single-term chains: contraction holds without any separation
-            c = _general_position_chain(rng, pair, q, WrongWayContext(pair, INTEGERS))
+            c = general_position_chain(rng, pair, q, WrongWayContext(pair, INTEGERS))
             single = UfChain(q, LatticeSpace(n), INTEGERS,
                              dict([next(iter(c.terms.items()))]))
             w = wrong_way(single, WrongWayContext(pair, INTEGERS))
@@ -247,8 +235,9 @@ def test_criterion_8_norm_continuity_shadow():
 def test_criterion_9_verify_determinism():
     first = canonical_dumps(run_verify())
     second = canonical_dumps(run_verify())
-    _criterion(9, "two consecutive verify runs are byte-identical and green",
-               first == second and '"passed": true' in first)
+    golden = (Path(__file__).resolve().parent / "golden" / "verify.report.json").read_text()
+    _criterion(9, "two consecutive verify runs are byte-identical, green and golden",
+               first == second == golden and '"passed": true' in first)
 
 
 def test_criterion_10_mutation_sensitivity():

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from coarse_chains import (
     INTEGERS,
+    RATIONALS,
     LatticeSpace,
     UfChain,
     boundary,
@@ -171,6 +173,16 @@ def test_json_round_trip_bit_exact(rng):
         assert json.dumps(data, sort_keys=True) == json.dumps(again.to_json(), sort_keys=True)
         tuples = [item["tuple"] for item in data["terms"]]
         assert tuples == sorted(tuples)
+    # Pinned literal: the Q codec writes "num/den" and orders terms by tuple.
+    c = UfChain(1, Z2, RATIONALS, {((0, 0), (1, -1)): Fraction(1, 2), ((2, 0), (2, 1)): -3,
+                                   ((0, 0), (0, 0)): Fraction(-4, 6)})
+    literal = (
+        '{"degree": 1, "group": "Q", "space": {"dim": 2, "kind": "lattice"}, "terms": ['
+        '{"coeff": "-2/3", "tuple": [[0, 0], [0, 0]]}, '
+        '{"coeff": "1/2", "tuple": [[0, 0], [1, -1]]}, '
+        '{"coeff": "-3/1", "tuple": [[2, 0], [2, 1]]}]}')
+    assert json.dumps(c.to_json(), sort_keys=True) == literal
+    assert UfChain.from_json(json.loads(literal)) == c
 
 
 def test_degenerate_tuples_are_legal():

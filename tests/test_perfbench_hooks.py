@@ -1,0 +1,68 @@
+"""The benchmark's traced run wraps functions at fixed names in the package.
+
+perfbench/layers.py lists them in TARGETS, and perfbench/tests/test_helpers.py
+watches the import sites the wrappers patch.  A refactor that moves one of
+them would only show as a traced run that is not `correct`; these tests make
+it fail here instead.  Both files are read, never changed.
+"""
+
+import ast
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import coarse_chains
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_layers():
+    saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, str(PERFBENCH))
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_layers", PERFBENCH / "layers.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    finally:
+        sys.path[:] = saved_path
+        sys.dont_write_bytecode = saved_flag
+
+
+def _watched_sites() -> list[tuple[str, str]]:
+    """(owner expression, attribute) pairs of the `watched` list in test_helpers.py."""
+    tree = ast.parse((PERFBENCH / "tests" / "test_helpers.py").read_text())
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == "watched"):
+            return [(ast.unparse(owner), ast.literal_eval(attr))
+                    for owner, attr in (item.elts for item in node.value.elts)]
+    raise AssertionError("test_helpers.py has no `watched` list")
+
+
+layers = _load_layers()
+
+
+@pytest.mark.parametrize("name", sorted(layers.TARGETS))
+def test_traced_target_resolves(name):
+    mod_name, path = layers.TARGETS[name]
+    module = importlib.import_module(f"coarse_chains.{mod_name}")
+    holder, attr, original = layers._resolve(module, path)
+    assert callable(original), f"{name}: {mod_name}.{path} is not callable"
+
+
+def test_watched_import_sites_resolve():
+    sites = _watched_sites()
+    assert sites
+    for owner_expr, attr in sites:
+        head, *rest = owner_expr.split(".")
+        owner = (coarse_chains if head == "coarse_chains"
+                 else importlib.import_module(f"coarse_chains.{head}"))
+        for part in rest:
+            owner = getattr(owner, part)
+        assert attr in vars(owner), f"{owner_expr}.{attr} is not bound"

@@ -320,3 +320,54 @@ def test_cli_bad_thread_count_exits_1(tmp_path, monkeypatch, capsys, value):
         err = capsys.readouterr().err
         assert err.startswith("error: COARSE_CHAINS_THREADS") and err.count("\n") == 1
     assert not list(tmp_path.iterdir())
+
+
+def _q_chain_json(**changes):
+    data = {"degree": 1, "space": {"kind": "lattice", "dim": 2}, "group": "Q",
+            "terms": [{"coeff": "1/2", "tuple": [[0, -1], [0, 1]]}]}
+    data.update(changes)
+    return data
+
+
+MALFORMED_CHAINS = {
+    "top-level list": [],
+    "terms not a list": _q_chain_json(terms=5),
+    "zero denominator": _q_chain_json(terms=[{"coeff": "1/0", "tuple": [[0, -1], [0, 1]]}]),
+    "boolean coefficient": _q_chain_json(
+        group="Z", terms=[{"coeff": True, "tuple": [[0, -1], [0, 1]]}]),
+    "boolean coordinate": _q_chain_json(terms=[{"coeff": "1/2", "tuple": [[0, -1], [0, True]]}]),
+    "term not an object": _q_chain_json(terms=[[[0, -1], [0, 1]]]),
+    "missing space": {"degree": 1, "group": "Q", "terms": []},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CHAINS))
+def test_cli_wrongway_malformed_chain_exits_1(tmp_path, capsys, name):
+    infile = tmp_path / "c.json"
+    infile.write_text(json.dumps(MALFORMED_CHAINS[name]))
+    with pytest.raises(ValueError):
+        UfChain.from_json(MALFORMED_CHAINS[name])
+    assert main(["wrongway", "--pair", "2,1", "--in", str(infile),
+                 "--out", str(tmp_path / "o.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read chain") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CHAINS))
+def test_scenario_load_chain_rejects_malformed_chain(tmp_path, capsys, name):
+    scenario = {
+        "name": "load-bad-chain",
+        "pair": {"ambient_dim": 2, "codim": 1, "normal_orientation": 1},
+        "group": "Q",
+        "window": {"lo": [-3, -3], "hi": [3, 3]},
+        "r_max": 1,
+        "seed": 0,
+        "perturb": False,
+        "pipeline": [{"op": "load_chain", "chain": MALFORMED_CHAINS[name]}],
+    }
+    path = tmp_path / "load-bad-chain.json"
+    path.write_text(json.dumps(scenario))
+    with pytest.raises(ScenarioError, match="step 0 \\(load_chain\\)"):
+        run_scenario(path)
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: step 0 (load_chain)")
