@@ -25,12 +25,11 @@ from .geometry import (
     thom_crossing,
     thom_evaluate,
 )
-from .spaces import LatticeSpace, NetSpec, Window, greedy_net, nearest_in_net
+from .spaces import LatticeSpace, Window
 from .wrongway import (
     WrongWayContext,
     cap_thom,
     flat_projection,
-    rough_map_profile,
     sign_identity_residual,
     wrong_way,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "INTEGERS",
     "INTEGERS_MOD_2",
     "LatticeSpace",
-    "NetSpec",
     "QuotientComplex",
     "RATIONALS",
     "TranslationAction",
@@ -65,15 +63,12 @@ __all__ = [
     "fill",
     "flat_projection",
     "frechet_seminorm",
-    "greedy_net",
     "group_by_name",
     "identify_class",
     "kuhn_fundamental_cycle",
-    "nearest_in_net",
     "orientation_sign",
     "push_tuplewise",
     "restrict_equivariance",
-    "rough_map_profile",
     "sign_identity_residual",
     "snf_homology",
     "thom_crossing",

@@ -12,18 +12,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .chains import ChainTuple, UfChain, _accumulate, _Chain, boundary
 from .coeffs import CoefficientGroup, Element, INTEGERS
-from .geometry import FlatPair, _adjugate, _det, _matrix_rank
+from .geometry import FlatPair
 from .geometry import thom_crossing  # noqa: F401 - the thom-sign mutation and perfbench patch it
 from .intlinalg import (
     SmithSolver,
     SparseIntMatrix,
+    adjugate,
+    column_lattice_basis,
+    det,
     kernel_basis,
     mat_vec,
+    rank,
     snf_with_transforms,
     solve_int,  # noqa: F401 - still importable from here; perfbench's self-tests watch it
 )
@@ -50,34 +53,35 @@ class TranslationAction:
     space: LatticeSpace
     generators: tuple[Vector, ...]
     _pivot_rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _coord_matrix: tuple = field(init=False, repr=False, compare=False)
+    _coord_matrix: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _coord_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.space.dim
-        gens = tuple(tuple(int(c) for c in g) for g in self.generators)
+        gens = tuple(self.space.check_point(tuple(g)) for g in self.generators)
         object.__setattr__(self, "generators", gens)
-        for g in gens:
-            if len(g) != n:
-                raise ValueError(f"generator {g} not in Z^{n}")
         r = len(gens)
         # Pick the first r coordinate rows on which the generators are
-        # independent; they define exact rational lattice coordinates.
+        # independent; on them the lattice coordinates of v are
+        # adj(B) v / det(B), kept as an integer matrix and a positive
+        # denominator with the sign of det(B) folded into the matrix.
         pivot_rows: list[int] = []
         basis: list[list[int]] = []
         for row_idx in range(n):
             if len(pivot_rows) == r:
                 break
             candidate = basis + [[g[row_idx] for g in gens]]
-            if _matrix_rank(candidate) == len(candidate):
+            if rank(candidate) == len(candidate):
                 basis = candidate
                 pivot_rows.append(row_idx)
         if len(pivot_rows) != r:
             raise ValueError("generators are linearly dependent")
-        det = _det(basis)
-        inverse = [[Fraction(a, det) for a in row] for row in _adjugate(basis)] if r else []
+        den = det(basis)
+        sign = 1 if den > 0 else -1
         object.__setattr__(self, "_pivot_rows", tuple(pivot_rows))
         object.__setattr__(self, "_coord_matrix",
-                           tuple(tuple(row) for row in inverse))
+                           tuple(tuple(sign * a for a in row) for row in adjugate(basis)))
+        object.__setattr__(self, "_coord_den", sign * den)
 
     @property
     def rank(self) -> int:
@@ -86,13 +90,14 @@ class TranslationAction:
     def is_full_rank(self) -> bool:
         return self.rank == self.space.dim
 
-    def coords(self, v: Sequence[int]) -> tuple[Fraction, ...]:
-        """Rational lattice coordinates of v along the generators."""
-        picked = [Fraction(v[i]) for i in self._pivot_rows]
-        return tuple(
-            sum(row[j] * picked[j] for j in range(self.rank))
-            for row in self._coord_matrix
-        )
+    def _scaled_coords(self, v: Sequence[int]) -> tuple[int, ...]:
+        """Lattice coordinates of v along the generators, times _coord_den."""
+        picked = [v[i] for i in self._pivot_rows]
+        return tuple(sum(a * x for a, x in zip(row, picked)) for row in self._coord_matrix)
+
+    def has_integral_coords(self, v: Sequence[int]) -> bool:
+        """Whether the lattice coordinates of v (on the pivot rows) are integers."""
+        return all(x % self._coord_den == 0 for x in self._scaled_coords(v))
 
     def vector_from_coeffs(self, m: Sequence[int]) -> Vector:
         return tuple(
@@ -102,7 +107,8 @@ class TranslationAction:
 
     def canonical_shift(self, p: Point) -> tuple[int, ...]:
         """Coefficients m with p - G m in the fundamental parallelepiped."""
-        return tuple(c.numerator // c.denominator for c in self.coords(p))
+        den = self._coord_den
+        return tuple(x // den for x in self._scaled_coords(p))
 
     def translate_point(self, p: Point, offset: Vector) -> Point:
         return tuple(a + b for a, b in zip(p, offset))
@@ -133,7 +139,7 @@ class TranslationAction:
         hi = [max(c[i] for c in corners) for i in range(n)]
         out = []
         for p in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-            if all(0 <= c < 1 for c in self.coords(p)):
+            if all(0 <= x < self._coord_den for x in self._scaled_coords(p)):
                 out.append(tuple(p))
         return sorted(out)
 
@@ -145,21 +151,11 @@ class TranslationAction:
             zero = (0,) * self.space.dim
             return [zero] if all(a <= 0 <= b for a, b in zip(lo, hi)) else []
         # Bound m by the coordinate image of the pivot-row sub-box corners.
-        corners = itertools.product(
-            *[(Fraction(lo[i]), Fraction(hi[i])) for i in self._pivot_rows])
-        mlo = [None] * self.rank
-        mhi = [None] * self.rank
-        for corner in corners:
-            for j, row in enumerate(self._coord_matrix):
-                val = sum(r * c for r, c in zip(row, corner))
-                if mlo[j] is None or val < mlo[j]:
-                    mlo[j] = val
-                if mhi[j] is None or val > mhi[j]:
-                    mhi[j] = val
-        ranges = [
-            range(-((-a.numerator) // a.denominator), b.numerator // b.denominator + 1)
-            for a, b in zip(mlo, mhi)
-        ]
+        corners = itertools.product(*[(lo[i], hi[i]) for i in self._pivot_rows])
+        images = [[sum(a * c for a, c in zip(row, corner)) for row in self._coord_matrix]
+                  for corner in corners]
+        den = self._coord_den
+        ranges = [range(-(-min(col) // den), max(col) // den + 1) for col in zip(*images)]
         out = []
         for m in itertools.product(*ranges):
             o = self.vector_from_coeffs(m)
@@ -287,7 +283,7 @@ def restrict_equivariance(
     for g in sub.generators:
         if any(pair.normal_part(g)):
             raise ValueError(f"sublattice generator {g} does not preserve the flat")
-        if any(x.denominator != 1 for x in action.coords(g)):
+        if not action.has_integral_coords(g):
             raise ValueError(f"sublattice generator {g} is not in the acting lattice")
     if sub.rank + pair.codim != action.rank:
         raise ValueError("sublattice must be the full tangential part of the action")
@@ -302,11 +298,10 @@ def restrict_equivariance(
     ]
     for coeffs in kernel_basis(normal_matrix):
         vec = action.vector_from_coeffs(coeffs)
-        if any(x.denominator != 1 for x in sub.coords(vec)):
+        if not sub.has_integral_coords(vec):
             raise ValueError(
                 f"tangential lattice vector {vec} is not in the sublattice")
-    normal_image = TranslationAction(
-        LatticeSpace(q), tuple(_lattice_basis_of_columns(normal_matrix)))
+    normal_image = TranslationAction(LatticeSpace(q), tuple(column_lattice_basis(normal_matrix)))
     if normal_image.rank != q:
         raise ValueError("action does not move the flat transversally")
 
@@ -323,22 +318,6 @@ def restrict_equivariance(
             offset = action.vector_from_coeffs(coeffs)
             out.append((sub.normalize_tuple(action.translate_tuple(tup, offset)), coeff))
     return EquivariantChain._trusted(c.degree, sub, c.group, _accumulate(c.group, out))
-
-
-def _lattice_basis_of_columns(matrix: list[list[int]]) -> list[Vector]:
-    """Basis of the lattice generated by the columns of an integer matrix."""
-    if not matrix or not matrix[0]:
-        return []
-    d, u, _ = snf_with_transforms(matrix)
-    uinv_needed = len([x for x in (d[i][i] for i in range(min(len(d), len(d[0])))) if x])
-    # Column lattice of A equals that of U^{-1} D; solve U y = d_i e_i.
-    u_solver = SmithSolver(u)
-    basis: list[Vector] = []
-    for i in range(uinv_needed):
-        col = u_solver.solve_sparse({i: d[i][i]})
-        assert col is not None
-        basis.append(tuple(col))
-    return basis
 
 
 def equivariant_wrong_way(c: EquivariantChain, ctx: WrongWayContext) -> EquivariantChain:

@@ -17,6 +17,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coeffs import CoefficientGroup, Element, INTEGERS, RATIONALS
+from .intlinalg import adjugate, det, rank
+from .spaces import json_int
 
 Coord = int | Fraction
 Vertex = tuple[Coord, ...]
@@ -149,64 +151,9 @@ class FlatPair:
 
     @classmethod
     def from_json(cls, data: dict) -> "FlatPair":
-        return cls(int(data["ambient_dim"]), int(data["codim"]),
-                   int(data.get("normal_orientation", 1)))
-
-
-# -- exact determinants --------------------------------------------------
-
-def _det(rows: list[list[Coord]]) -> Coord:
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        a, b, c = rows[0]
-        d, e, f = rows[1]
-        g, h, i = rows[2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    # Fraction Gaussian elimination for the (rare) larger sizes.
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return int(det) if det.denominator == 1 else det
-
-
-def _minor_det(rows: list[list[Coord]], drop_row: int, drop_col: int) -> Coord:
-    sub = [
-        [x for j, x in enumerate(row) if j != drop_col]
-        for i, row in enumerate(rows)
-        if i != drop_row
-    ]
-    return _det(sub)
-
-
-def _adjugate(rows: list[list[Coord]]) -> list[list[Coord]]:
-    """adj(D) with D * adj(D) = det(D) * I; exact."""
-    n = len(rows)
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sign = -1 if (i + j) % 2 else 1
-            adj[j][i] = sign * _minor_det(rows, i, j)
-    return adj
+        return cls(json_int(data["ambient_dim"], "ambient_dim"),
+                   json_int(data["codim"], "codim"),
+                   json_int(data.get("normal_orientation", 1), "normal_orientation"))
 
 
 def _sign(x: Coord) -> int:
@@ -221,24 +168,6 @@ def _lex_sign(seq: Sequence[Coord]) -> int:
     return 0
 
 
-def _matrix_rank(rows: list[list[Coord]]) -> int:
-    m = [[Fraction(x) for x in row] for row in rows if any(row)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
 def orientation_sign(vectors: Sequence[Sequence[Coord]]) -> int:
     """Sign of the determinant of the square matrix with the given columns."""
     q = len(vectors)
@@ -246,7 +175,7 @@ def orientation_sign(vectors: Sequence[Sequence[Coord]]) -> int:
         if len(v) != q:
             raise ValueError("need q vectors of dimension q")
     rows = [[vectors[j][i] for j in range(q)] for i in range(q)]
-    return _sign(_det(rows))
+    return _sign(det(rows))
 
 
 # -- Thom evaluation -----------------------------------------------------
@@ -263,14 +192,14 @@ def _crossing_number(normals: list[Vertex], perturb: bool) -> int:
     v0 = normals[0]
     # Columns of D are the edge vectors v_i - v_0.
     rows = [[normals[i + 1][r] - v0[r] for i in range(q)] for r in range(q)]
-    det = _det(rows)
+    d = det(rows)
 
-    if det == 0:
+    if d == 0:
         if perturb:
             return 0
         rhs = [-c for c in v0]
         aug = [rows[r] + [rhs[r]] for r in range(q)]
-        if _matrix_rank(aug) == _matrix_rank(rows):
+        if rank(aug) == rank(rows):
             raise DegeneratePosition(
                 "projected simplex is degenerate with the origin in its affine hull")
         return 0
@@ -283,12 +212,12 @@ def _crossing_number(normals: list[Vertex], perturb: bool) -> int:
         col_backup = [rows[r][i] for r in range(q)]
         for r in range(q):
             rows[r][i] = rhs[r]
-        nums.append(_det(rows))
+        nums.append(det(rows))
         for r in range(q):
             rows[r][i] = col_backup[r]
-    num0 = det - sum(nums)
+    num0 = d - sum(nums)
 
-    sdet = _sign(det)
+    sdet = _sign(d)
     if not perturb:
         signs = [sdet * _sign(n) for n in (num0, *nums)]
         if any(s < 0 for s in signs):
@@ -299,7 +228,7 @@ def _crossing_number(normals: list[Vertex], perturb: bool) -> int:
 
     # Perturbed origin o = (eps, eps^2, ...): each numerator becomes
     # num_i + sum_j adj(D)[i][j] * eps^j, compared lexicographically.
-    adj = _adjugate(rows)
+    adj = adjugate(rows)
     grad0 = [-sum(adj[i][j] for i in range(q)) for j in range(q)]
     seqs = [[num0, *grad0]] + [[nums[i], *adj[i]] for i in range(q)]
     for seq in seqs:

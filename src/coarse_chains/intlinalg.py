@@ -1,5 +1,8 @@
-"""Exact integer linear algebra: Smith normal form, kernels, solving.
+"""Exact linear algebra, the package's one elimination module.
 
+Determinants and adjugates are fraction-free: closed forms up to size 3
+and Bareiss elimination above, with rational rows scaled to integers first.
+Ranks, kernels and integral solving all come from the Smith normal form.
 Dense routines carry the unimodular transforms and are used where the
 coordinates matter (class identification).  Solving is "factor once, solve
 many": SmithSolver keeps one Smith form of a matrix and answers every
@@ -14,9 +17,12 @@ invariant factors stay exact.
 from __future__ import annotations
 
 import heapq
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 Matrix = list[list[int]]
+RationalMatrix = list[list[int | Fraction]]
 
 
 def identity(n: int) -> Matrix:
@@ -155,8 +161,66 @@ def invariant_factors(a: Matrix) -> list[int]:
     return [x for x in diagonal(d) if x]
 
 
-def rank(a: Matrix) -> int:
-    return len(invariant_factors(a))
+def _integer_rows(a: RationalMatrix) -> tuple[Matrix, int]:
+    """Each row times the lcm of its denominators, and the product of those lcms."""
+    rows: Matrix = []
+    scale = 1
+    for row in a:
+        m = lcm(*(x.denominator for x in row))
+        rows.append([int(x * m) for x in row] if m != 1 else list(row))
+        scale *= m
+    return rows, scale
+
+
+def det(a: RationalMatrix) -> int | Fraction:
+    """Exact determinant of a square matrix of integers or fractions."""
+    n = len(a)
+    if n == 0:
+        return 1
+    if n == 1:
+        return a[0][0]
+    if n == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    if n == 3:
+        (p, q, r), (s, t, u), (v, w, x) = a
+        return p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
+    # Bareiss: every division below is exact, so entries stay integers.
+    m, scale = _integer_rows(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            x = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - x * pivot_row[j]) // prev
+        prev = pivot
+    d = sign * m[n - 1][n - 1]
+    return d if scale == 1 else Fraction(d, scale)
+
+
+def adjugate(a: RationalMatrix) -> RationalMatrix:
+    """adj(A), with A * adj(A) = det(A) * I, from cofactors."""
+    n = len(a)
+    adj: RationalMatrix = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [row[:j] + row[j + 1:] for r, row in enumerate(a) if r != i]
+            adj[j][i] = -det(minor) if (i + j) % 2 else det(minor)
+    return adj
+
+
+def rank(a: RationalMatrix) -> int:
+    """Rank over the rationals; rows of fractions are scaled to integers."""
+    return len(invariant_factors(_integer_rows(a)[0]))
 
 
 def kernel_basis(a: Matrix) -> list[list[int]]:
@@ -213,6 +277,19 @@ class SmithSolver:
 def solve_int(a: Matrix, b: Sequence[int]) -> list[int] | None:
     """One integral solution of A x = b, or None if there is none."""
     return SmithSolver(a).solve(b)
+
+
+def column_lattice_basis(a: Matrix) -> Matrix:
+    """A basis of the lattice spanned by the columns of A, one vector per row.
+
+    With D = U A V, the column lattice of A is that of U^{-1} D, so its basis
+    is the solutions y of U y = d_i e_i over the nonzero invariant factors.
+    """
+    if not a or not a[0]:
+        return []
+    d, u, _ = snf_with_transforms(a)
+    u_solver = SmithSolver(u)
+    return [u_solver.solve_sparse({i: x}) for i, x in enumerate(diagonal(d)) if x]
 
 
 # -- sparse reduction ------------------------------------------------------

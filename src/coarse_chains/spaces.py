@@ -9,10 +9,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 Point = tuple[int, ...]
+
+
+def json_int(value, what: str) -> int:
+    """An integer field of JSON input; booleans, floats and strings are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,7 @@ class LatticeSpace:
     def from_json(cls, data: dict) -> "LatticeSpace":
         if data.get("kind") != "lattice":
             raise ValueError(f"unknown space kind: {data.get('kind')!r}")
-        return cls(int(data["dim"]))
+        return cls(json_int(data["dim"], "lattice dimension"))
 
 
 @dataclass(frozen=True)
@@ -79,9 +85,6 @@ class Window:
     def contains(self, p: Point) -> bool:
         return all(a <= c <= b for a, c, b in zip(self.lo, p, self.hi))
 
-    def contains_tuple(self, tup: Sequence[Point]) -> bool:
-        return all(self.contains(p) for p in tup)
-
     def points(self) -> Iterator[Point]:
         """Lexicographic enumeration of the window."""
         ranges = [range(a, b + 1) for a, b in zip(self.lo, self.hi)]
@@ -94,51 +97,14 @@ class Window:
             n *= b - a + 1
         return n
 
-    def shrink(self, margin: int) -> "Window":
-        lo = tuple(a + margin for a in self.lo)
-        hi = tuple(b - margin for b in self.hi)
-        return Window(lo, hi)
-
     def to_json(self) -> dict:
         return {"lo": list(self.lo), "hi": list(self.hi)}
 
     @classmethod
     def from_json(cls, data: dict) -> "Window":
-        return cls(tuple(int(c) for c in data["lo"]), tuple(int(c) for c in data["hi"]))
+        return cls(tuple(json_int(c, "window bound") for c in data["lo"]),
+                   tuple(json_int(c, "window bound") for c in data["hi"]))
 
     @classmethod
     def cube(cls, dim: int, radius: int) -> "Window":
         return cls((-radius,) * dim, (radius,) * dim)
-
-
-@dataclass(frozen=True)
-class NetSpec:
-    """Separation parameter and enumeration window for net construction."""
-
-    separation: Fraction
-    window: Window
-
-    def __post_init__(self) -> None:
-        if self.separation <= 0:
-            raise ValueError("separation must be positive")
-
-
-def greedy_net(space: LatticeSpace, spec: NetSpec) -> list[Point]:
-    """Maximal c-separated subset of the window, by greedy lexicographic scan.
-
-    A point is kept iff its distance to every previously kept point exceeds
-    the separation.  Greedy scan makes the result maximal and deterministic.
-    """
-    c = spec.separation
-    kept: list[Point] = []
-    for p in spec.window.points():
-        if all(Fraction(space.distance(p, g)) > c for g in kept):
-            kept.append(p)
-    return kept
-
-
-def nearest_in_net(space: LatticeSpace, net: Sequence[Point], x: Point) -> Point:
-    """Net point at minimal distance from x; ties go to the lexicographic minimum."""
-    if not net:
-        raise ValueError("net is empty")
-    return min(net, key=lambda g: (space.distance(x, g), g))

@@ -267,7 +267,8 @@ def _check_transport() -> tuple[bool, str]:
 def _check_filling_independence() -> tuple[bool, str]:
     # An alternative equally valid chain representative of the fundamental
     # class (the cycle pushed through a flat-preserving unimodular shear)
-    # must land in the same class.  Chain-level outputs differ.
+    # must land in the same class, and in its negative once the flat's
+    # orientation flips.  Chain-level outputs differ.
     pair = FlatPair(2, 1)
     cycle = kuhn_fundamental_cycle(2)
 
@@ -282,6 +283,9 @@ def _check_filling_independence() -> tuple[bool, str]:
     other = _transport(sheared, pair)
     if base != other:
         return False, f"sheared representative changed the class: {base} vs {other}"
+    flipped = _transport(sheared, FlatPair(2, 1, -1))
+    if flipped != [-x for x in other]:
+        return False, f"orientation flip did not negate the sheared class: {other} vs {flipped}"
     return True, f"class {base} stable under a sheared representative"
 
 

@@ -11,7 +11,6 @@ contract "residual is the zero chain" is a genuine cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 from .chains import UfChain, _accumulate, _Chain, boundary, push_tuplewise
 from .coeffs import CoefficientGroup, INTEGERS
@@ -65,7 +64,6 @@ def cap_thom(c: _Chain, ctx: WrongWayContext) -> _Chain:
         raise ValueError(f"cannot cap a degree-{c.degree} chain with a degree-{q} class")
     ctx.check_chain(c)
     group = ctx.group
-    radius = c.propagation()
 
     def capped():
         for tup, coeff in c.terms.items():
@@ -75,10 +73,7 @@ def cap_thom(c: _Chain, ctx: WrongWayContext) -> _Chain:
                 raise DegeneratePosition(str(exc), simplex=exc.simplex, chain_tuple=tup) from None
             if theta == 0:
                 continue
-            tail = tup[q:]
-            assert all(ctx.pair.flat_distance(p) <= radius for p in tail), \
-                "capped tuple escaped the propagation neighbourhood of the flat"
-            yield tail, group.scale(theta, coeff)
+            yield tup[q:], group.scale(theta, coeff)
 
     return c._like(c.degree - q, _accumulate(group, capped()))
 
@@ -105,33 +100,3 @@ def sign_identity_residual(c: UfChain, ctx: WrongWayContext) -> UfChain:
     lhs = boundary(wrong_way(c, ctx))
     rhs = wrong_way(boundary(c), ctx).scale(-1 if q % 2 else 1)
     return lhs - rhs
-
-
-def rough_map_profile(f: Callable[[Point], Point], space: LatticeSpace,
-                      window: Window, radii: Iterable[int],
-                      target: LatticeSpace | None = None) -> dict:
-    """Empirical expansion and co-expansion of a point map on a window.
-
-    expansion[r]    = max d(f(x), f(y)) over window pairs with d(x, y) <= r
-    co_expansion[r] = max d(x, y) over window pairs with d(f(x), f(y)) <= r
-
-    Finite-window stand-ins for the two defining bounds of a rough map; a
-    polynomial bound on these tables is the strengthened (polynomially
-    rough) condition.
-    """
-    target = target or space
-    pts = list(window.points())
-    images = {p: target.check_point(tuple(f(p))) for p in pts}
-    radii = sorted(set(radii))
-    expansion = {r: 0 for r in radii}
-    co_expansion = {r: 0 for r in radii}
-    for i, x in enumerate(pts):
-        for y in pts[i:]:
-            d = space.distance(x, y)
-            df = target.distance(images[x], images[y])
-            for r in radii:
-                if d <= r and df > expansion[r]:
-                    expansion[r] = df
-                if df <= r and d > co_expansion[r]:
-                    co_expansion[r] = d
-    return {"expansion": expansion, "co_expansion": co_expansion}

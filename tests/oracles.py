@@ -127,3 +127,26 @@ def int_solvable_oracle(matrix: list[list[int]], b: list[int]) -> bool:
     if frac_rank_oracle(augmented) != r:
         return False
     return r == 0 or _minor_gcd(matrix, r) == _minor_gcd(augmented, r)
+
+
+def lattice_coords_oracle(generators, v) -> tuple[Fraction, ...]:
+    """Fraction coordinates of v along the generators, by Cramer's rule.
+
+    They are read on the first coordinate rows on which the generators are
+    independent (rows picked with the Fraction rank above), so for a
+    rank-deficient lattice they are defined for every v, in its span or not.
+    """
+    rows: list[list[int]] = []
+    picked: list[int] = []
+    for i in range(len(v)):
+        if len(rows) == len(generators):
+            break
+        candidate = rows + [[g[i] for g in generators]]
+        if frac_rank_oracle(candidate) == len(candidate):
+            rows = candidate
+            picked.append(v[i])
+    den = det_oracle(rows)
+    return tuple(
+        det_oracle([row[:j] + [x] + row[j + 1:] for row, x in zip(rows, picked)]) / den
+        for j in range(len(generators))
+    )

@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import random
 
 import pytest
 
@@ -25,7 +27,7 @@ from coarse_chains import (
 )
 from coarse_chains.equivariant import QuotientComplex
 from coarse_chains.intlinalg import SparseIntMatrix
-from oracles import frac_rank_oracle
+from oracles import det_oracle, frac_rank_oracle, lattice_coords_oracle
 
 Z_ACT = TranslationAction.standard(1)
 Z2_ACT = TranslationAction.standard(2)
@@ -99,11 +101,127 @@ def test_action_uniform_properness_counting():
             assert abs(len(expected) - (4 * r + 1) ** 2 / covol) <= (4 * r + 1) * 4
 
 
+def _random_actions(seed: int, count: int, max_dim: int = 4) -> list[TranslationAction]:
+    """Seeded actions of rank 1..n on Z^1..Z^max_dim with small generators."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, max_dim)
+        r = rng.randint(1, n)
+        gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        if frac_rank_oracle(gens) == r:
+            out.append(TranslationAction(LatticeSpace(n), tuple(map(tuple, gens))))
+    return out
+
+
+def _columns(action: TranslationAction) -> list[list[int]]:
+    return [[g[i] for g in action.generators] for i in range(action.space.dim)]
+
+
+def _in_lattice_oracle(action: TranslationAction, v) -> bool:
+    coords = lattice_coords_oracle(action.generators, v)
+    return (all(c.denominator == 1 for c in coords)
+            and all(sum(g[i] * c for g, c in zip(action.generators, coords)) == v[i]
+                    for i in range(len(v))))
+
+
+def test_normalize_and_membership_match_fraction_coordinates():
+    actions = _random_actions(11, 120)
+    # Both determinant signs, and rank-deficient actions, are covered.
+    assert {det_oracle(_columns(a)) > 0 for a in actions if a.is_full_rank()} == {True, False}
+    assert any(not a.is_full_rank() for a in actions)
+    rng = random.Random(12)
+    for action in actions:
+        n, gens = action.space.dim, action.generators
+        for trial in range(20):
+            v0 = [rng.randint(-12, 12) for _ in range(n)]
+            if trial % 4 == 0:  # a lattice vector, so membership is exercised both ways
+                m = [rng.randint(-3, 3) for _ in gens]
+                v0 = [sum(g[i] * c for g, c in zip(gens, m)) for i in range(n)]
+            tup = (tuple(v0), tuple(x + rng.randint(-2, 2) for x in v0))
+            coords = lattice_coords_oracle(gens, v0)
+            shift = [math.floor(c) for c in coords]
+            expected = tuple(
+                tuple(p[i] - sum(g[i] * c for g, c in zip(gens, shift)) for i in range(n))
+                for p in tup)
+            assert action.normalize_tuple(tup) == expected
+            assert action.canonical_shift(tup[0]) == tuple(shift)
+            assert action.has_integral_coords(v0) == all(c.denominator == 1 for c in coords)
+
+
+def test_fundamental_points_match_fraction_coordinates():
+    actions = [a for a in _random_actions(13, 200, max_dim=3) if a.is_full_rank()][:20]
+    assert {det_oracle(_columns(a)) > 0 for a in actions} == {True, False}
+    for action in actions:
+        box = [range(sum(min(0, g[i]) for g in action.generators),
+                     sum(max(0, g[i]) for g in action.generators) + 1)
+               for i in range(action.space.dim)]
+        expected = [p for p in itertools.product(*box)
+                    if all(0 <= c < 1 for c in lattice_coords_oracle(action.generators, p))]
+        assert action.fundamental_points() == expected
+        assert len(expected) == abs(det_oracle(_columns(action)))
+
+
+def test_lattice_vectors_in_box_match_fraction_coordinates():
+    rng = random.Random(14)
+    for action in _random_actions(15, 60):
+        n = action.space.dim
+        lo = [rng.randint(-5, 1) for _ in range(n)]
+        hi = [a + rng.randint(0, 4) for a in lo]
+        expected = [p for p in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)])
+                    if _in_lattice_oracle(action, p)]
+        assert action.lattice_vectors_in_box(lo, hi) == expected
+
+
+def test_restrict_equivariance_membership_matches_fraction_coordinates():
+    # Pairs of codimension n - 1 and a one-generator tangential sublattice
+    # k e_1.  The action must contain k e_1, and k e_1 must generate the
+    # action's whole tangential part t e_1 (t found by brute force).
+    outcomes = set()
+    for action in _random_actions(16, 200, max_dim=3):
+        n = action.space.dim
+        if n < 2 or not action.is_full_rank():
+            continue
+        pair = FlatPair(n, n - 1)
+        index = abs(int(det_oracle(_columns(action))))
+        axis = [(x,) + (0,) * (n - 1) for x in range(1, index + 1)]
+        t = next(v[0] for v in axis if _in_lattice_oracle(action, v))
+        chain = EquivariantChain(0, action, INTEGERS, {((0,) * n,): 1})
+        for k in range(1, 5):
+            sub = TranslationAction(LatticeSpace(n), ((k,) + (0,) * (n - 1),))
+            coords = lattice_coords_oracle(action.generators, sub.generators[0])
+            if any(c.denominator != 1 for c in coords):
+                expected = "is not in the acting lattice"
+            elif t % k:
+                expected = "is not in the sublattice"
+            else:
+                expected = None
+            outcomes.add(expected)
+            if expected is None:
+                assert restrict_equivariance(chain, sub, pair, 1).action == sub
+            else:
+                with pytest.raises(ValueError, match=expected):
+                    restrict_equivariance(chain, sub, pair, 1)
+    assert outcomes == {None, "is not in the acting lattice", "is not in the sublattice"}
+
+
 # -- equivariant chains -------------------------------------------------------
 
 def test_equivariant_chain_normalizes_terms():
     c = EquivariantChain(1, Z_ACT, INTEGERS, {((3,), (4,)): 2})
     assert c.terms == {((0,), (1,)): 2}
+
+
+@pytest.mark.parametrize("action", [
+    {"space": {"kind": "lattice", "dim": 1}, "generators": [[1.9]]},
+    {"space": {"kind": "lattice", "dim": 1}, "generators": [[True]]},
+    {"space": {"kind": "lattice", "dim": True}, "generators": [[1]]},
+])
+def test_equivariant_chain_json_needs_an_integer_action(action):
+    data = EquivariantChain(1, Z_ACT, INTEGERS, {((0,), (1,)): 1}).to_json()
+    data["action"] = action
+    with pytest.raises(ValueError):
+        EquivariantChain.from_json(data)
 
 
 def test_equivariant_chain_json_round_trip():

@@ -1,11 +1,15 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from coarse_chains.intlinalg import (
     SmithSolver,
     SparseIntMatrix,
+    adjugate,
+    column_lattice_basis,
+    det,
     identity,
     invariant_factors,
     kernel_basis,
@@ -54,6 +58,41 @@ def test_rank_against_fraction_oracle():
         m, n = rng.randint(1, 7), rng.randint(1, 7)
         a = _random_matrix(rng, m, n, density=rng.choice([0.4, 0.8, 1.0]))
         assert rank(a) == frac_rank_oracle(a)
+        scaled = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in a]
+        assert rank(scaled) == frac_rank_oracle(scaled)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_det_and_adjugate_against_fraction_oracle(size):
+    rng = random.Random(40 + size)
+    for trial in range(60):
+        a = _random_matrix(rng, size, size, density=rng.choice([0.3, 0.7, 1.0]))
+        if trial % 5 == 0 and size > 1:
+            a[-1] = [x - y for x, y in zip(a[0], a[1])]  # singular
+        if trial % 2:
+            a = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in a]
+        before = [row[:] for row in a]
+        assert det(a) == det_oracle(a)
+        adj = adjugate(a)
+        for i in range(size):
+            for j in range(size):
+                minor = [row[:j] + row[j + 1:] for r, row in enumerate(a) if r != i]
+                assert adj[j][i] == (-1) ** (i + j) * det_oracle(minor)
+        assert a == before
+
+
+def test_column_lattice_basis_spans_the_column_lattice():
+    rng = random.Random(6)
+    for _ in range(80):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        a = _random_matrix(rng, m, n, lo=-4, hi=4, density=rng.choice([0.5, 1.0]))
+        basis = column_lattice_basis(a)
+        assert len(basis) == rank(a)
+        if basis:
+            # Same lattice: each column of A is an integral combination of
+            # the basis, and each basis vector one of the columns of A.
+            assert all(solve_int(transpose(basis), col) is not None for col in transpose(a))
+            assert all(solve_int(a, v) is not None for v in basis)
 
 
 def test_invariant_factors_against_sympy():

@@ -338,6 +338,8 @@ MALFORMED_CHAINS = {
     "boolean coordinate": _q_chain_json(terms=[{"coeff": "1/2", "tuple": [[0, -1], [0, True]]}]),
     "term not an object": _q_chain_json(terms=[[[0, -1], [0, 1]]]),
     "missing space": {"degree": 1, "group": "Q", "terms": []},
+    "boolean dimension": _q_chain_json(space={"kind": "lattice", "dim": True},
+                                       terms=[{"coeff": "1/2", "tuple": [[0], [1]]}]),
 }
 
 
@@ -371,3 +373,24 @@ def test_scenario_load_chain_rejects_malformed_chain(tmp_path, capsys, name):
         run_scenario(path)
     assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: step 0 (load_chain)")
+
+
+NON_INTEGER_CONFIGS = {
+    "float and boolean pair": {"pair": {"ambient_dim": 2.7, "codim": True}},
+    "float orientation": {"pair": {"ambient_dim": 2, "codim": 1, "normal_orientation": -1.0}},
+    "string window bound": {"window": {"lo": [-3, -3], "hi": [3, "3"]}},
+    "fractional window bound": {"window": {"lo": [-3, -1.5], "hi": [3, 3]}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_CONFIGS))
+def test_scenario_configuration_needs_integers(tmp_path, capsys, name):
+    config = load_scenario("t2-to-s1")
+    config.update(NON_INTEGER_CONFIGS[name])
+    path = tmp_path / "non-integer.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ScenarioError, match="must be an integer"):
+        run_scenario(path)
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad scenario configuration") and err.count("\n") == 1

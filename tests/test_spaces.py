@@ -1,11 +1,8 @@
-import random
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarse_chains import LatticeSpace, NetSpec, Window, greedy_net, nearest_in_net
+from coarse_chains import LatticeSpace, Window
 
 
 def test_ball_examples():
@@ -40,75 +37,6 @@ def test_metric_axioms(n, data):
     assert space.distance(x, y) == space.distance(y, x)
     assert (space.distance(x, y) == 0) == (x == y)
     assert space.distance(x, z) <= space.distance(x, y) + space.distance(y, z)
-
-
-def test_greedy_net_examples():
-    space = LatticeSpace(1)
-    net = greedy_net(space, NetSpec(Fraction(3, 2), Window((0,), (3,))))
-    assert net == [(0,), (2,)]
-    assert greedy_net(space, NetSpec(Fraction(1), Window((0,), (0,)))) == [(0,)]
-
-
-def _assert_maximal_separated(space, window, c, net):
-    # Oracle: pairwise separation plus no window point can be added.
-    for i, g in enumerate(net):
-        for h in net[i + 1:]:
-            assert Fraction(space.distance(g, h)) > c
-    for p in window.points():
-        if p not in net:
-            assert any(Fraction(space.distance(p, g)) <= c for g in net), (
-                f"{p} could be added: net not maximal")
-
-
-def test_greedy_net_maximality_oracle():
-    space = LatticeSpace(2)
-    window = Window((0, 0), (4, 4))
-    spec = NetSpec(Fraction(1), window)
-    net = greedy_net(space, spec)
-    _assert_maximal_separated(space, window, Fraction(1), net)
-    # separation 1 on Z^2 keeps every other point: pairwise distance >= 2
-    assert all(space.distance(g, h) >= 2 for i, g in enumerate(net) for h in net[i + 1:])
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_greedy_net_maximality_random(seed):
-    rng = random.Random(seed)
-    n = rng.choice([1, 2])
-    space = LatticeSpace(n)
-    lo = tuple(rng.randint(-5, 0) for _ in range(n))
-    hi = tuple(a + rng.randint(0, 6) for a in lo)
-    window = Window(lo, hi)
-    c = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-    net = greedy_net(space, NetSpec(c, window))
-    _assert_maximal_separated(space, window, c, net)
-
-
-def test_greedy_net_deterministic():
-    space = LatticeSpace(2)
-    spec = NetSpec(Fraction(4, 3), Window((-3, -3), (3, 3)))
-    assert greedy_net(space, spec) == greedy_net(space, spec)
-
-
-def test_nearest_in_net_examples():
-    space = LatticeSpace(1)
-    assert nearest_in_net(space, [(0,), (2,)], (1,)) == (0,)  # tie -> lex min
-    assert nearest_in_net(space, [(0,), (2,)], (2,)) == (2,)
-
-
-def test_nearest_in_net_brute_force_oracle(rng):
-    space = LatticeSpace(2)
-    window = Window((-4, -4), (4, 4))
-    net = greedy_net(space, NetSpec(Fraction(3, 2), window))
-    ceil_c = 2
-    for _ in range(200):
-        x = (rng.randint(-4, 4), rng.randint(-4, 4))
-        got = nearest_in_net(space, net, x)
-        best = min(space.distance(x, g) for g in net)
-        assert space.distance(x, got) == best
-        assert got == min(g for g in net if space.distance(x, g) == best)
-        assert best <= ceil_c  # maximality bound
-    for g in net:
-        assert nearest_in_net(space, net, g) == g
 
 
 def test_space_json_roundtrip():

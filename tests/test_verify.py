@@ -11,6 +11,7 @@ from coarse_chains import FlatPair, fill, thom_crossing
 from coarse_chains.cli import main
 from coarse_chains.verify import (
     _check_fill_boundary,
+    _check_filling_independence,
     _check_snf_cross,
     _check_transport,
     _patched_thom_sign,
@@ -50,6 +51,17 @@ def test_check_transport_reports_signs():
     ok, detail = _check_transport()
     assert ok
     assert "T^2->T^1" in detail
+
+
+def test_filling_independence_catches_the_thom_sign_mutation():
+    # The dropped sign moves both representatives alike, so only the
+    # orientation flip of the sheared representative can expose it.
+    assert _check_filling_independence() == (
+        True, "class [-1] stable under a sheared representative")
+    with _patched_thom_sign():
+        ok, detail = _check_filling_independence()
+    assert not ok
+    assert "orientation flip did not negate the sheared class: [-1] vs [-1]" in detail
 
 
 def test_cli_verify_glue(tmp_path, capsys, monkeypatch):

@@ -16,7 +16,6 @@ from coarse_chains import (
     cap_thom,
     fill,
     flat_projection,
-    rough_map_profile,
     sign_identity_residual,
     thom_crossing,
     uf_norm,
@@ -297,32 +296,3 @@ def test_norm_can_grow_on_colliding_chains():
     w = wrong_way(c, make_ctx(PAIR21))
     assert w.terms == {((0,),): 2}
     assert uf_norm(w, 0) == 2 > uf_norm(c, 0)
-
-
-# -- rough map profiles --------------------------------------------------------
-
-def test_rough_profile_identity():
-    space = LatticeSpace(1)
-    window = Window((-5,), (5,))
-    prof = rough_map_profile(lambda p: p, space, window, [0, 1, 2, 3])
-    assert prof["expansion"] == {0: 0, 1: 1, 2: 2, 3: 3}
-    assert prof["co_expansion"] == {0: 0, 1: 1, 2: 2, 3: 3}
-
-
-def test_rough_profile_projection():
-    space = LatticeSpace(2)
-    window = Window((-3, -3), (3, 3))
-    prof = rough_map_profile(
-        lambda p: flat_projection(p, PAIR21), space, window, [1, 2],
-        target=LatticeSpace(2))
-    assert prof["expansion"] == {1: 1, 2: 2}
-    # collapsing the normal direction is visible in the co-profile
-    assert prof["co_expansion"][1] == 6
-
-
-def test_rough_profile_doubling():
-    space = LatticeSpace(1)
-    window = Window((-5,), (5,))
-    prof = rough_map_profile(lambda p: (2 * p[0],), space, window, [1, 2, 3])
-    assert prof["expansion"] == {1: 2, 2: 4, 3: 6}
-    assert prof["co_expansion"] == {1: 0, 2: 1, 3: 1}
