@@ -8,10 +8,10 @@ coordinates matter (class identification).  Solving is "factor once, solve
 many": SmithSolver keeps one Smith form of a matrix and answers every
 right-hand side against it by unimodular back-substitution, so a batch of
 solves costs one Smith form, not one per column.  The sparse reduction handles
-the large boundary matrices of quotient complexes: it peels off unit
-pivots with Markowitz-style pivoting (unimodular operations only) and
-hands the small leftover core to the dense routine, so ranks and
-invariant factors stay exact.
+the large boundary matrices of quotient complexes: a column reduction, as in
+persistent homology, that only ever adds multiples of columns whose lowest
+entry is +-1 (unimodular operations only), and hands the small leftover core
+to the dense routine, so ranks and invariant factors stay exact.
 """
 
 from __future__ import annotations
@@ -327,14 +327,6 @@ class SparseIntMatrix:
     def nnz(self) -> int:
         return sum(len(row) for row in self.rows.values())
 
-    def clone(self) -> "SparseIntMatrix":
-        out = SparseIntMatrix(self.nrows, self.ncols)
-        for r, row in self.rows.items():
-            out.rows[r] = dict(row)
-            for c in row:
-                out.cols.setdefault(c, set()).add(r)
-        return out
-
     def to_dense(self) -> Matrix:
         out = [[0] * self.ncols for _ in range(self.nrows)]
         for r, row in self.rows.items():
@@ -364,55 +356,57 @@ class SparseIntMatrix:
         return not self.rows
 
     def rank_and_factors(self) -> tuple[int, list[int]]:
-        """Exact rank and invariant factors, destructively.
+        """Exact rank and invariant factors; the matrix is left unchanged.
 
-        Unit pivots are eliminated sparsely; whatever survives without a
-        +-1 entry is handed to the dense Smith routine.
+        Columns are reduced in order against earlier columns whose lowest
+        (largest-row) entry is +-1, so every step is a unimodular column
+        operation.  Those pivot columns form a triangular block with a unit
+        diagonal.  A column left with a non-unit low is set aside, cleared on
+        the pivot rows and handed, with the others, to the dense Smith routine.
         """
-        work = self.clone()
-        unit_rank = 0
-        heap: list[tuple[int, int, int]] = []
-        for r, row in work.rows.items():
-            for c, v in row.items():
-                if v in (1, -1):
-                    score = (len(row) - 1) * (len(work.cols[c]) - 1)
-                    heapq.heappush(heap, (score, r, c))
-        while heap:
-            score, r, c = heapq.heappop(heap)
-            row = work.rows.get(r)
-            if row is None or c not in row or abs(row[c]) != 1:
-                continue
-            current = (len(row) - 1) * (len(work.cols[c]) - 1)
-            if current > score:
-                heapq.heappush(heap, (current, r, c))
-                continue
-            pivot = row[c]
-            prow = dict(row)
-            for r2 in list(work.cols[c]):
-                if r2 == r:
+        pivots: dict[int, dict[int, int]] = {}
+
+        def reduce(col: dict[int, int], clear: bool) -> int | None:
+            # Cancel entries from the highest row down against the pivot with
+            # that low; each step lowers the row, so there are <= nrows steps.
+            # Returns the first low without a pivot, unless clearing past it.
+            heap = sorted(-r for r in col)
+            while heap:
+                low = -heapq.heappop(heap)
+                pivot = pivots.get(low)
+                if low not in col or (pivot is None and clear):
                     continue
-                factor = work.rows[r2][c] * pivot
-                row2 = work.rows[r2]
-                for cc, v in prow.items():
-                    new = row2.get(cc, 0) - factor * v
-                    work._set(r2, cc, new)
-                    if new in (1, -1):
-                        heapq.heappush(
-                            heap,
-                            ((len(work.rows[r2]) - 1) * (len(work.cols[cc]) - 1), r2, cc),
-                        )
-            for cc in list(prow):
-                work._set(r, cc, 0)
-            unit_rank += 1
-        factors = [1] * unit_rank
-        if work.rows:
-            live_rows = sorted(work.rows)
-            live_cols = sorted({c for row in work.rows.values() for c in row})
-            rmap = {r: i for i, r in enumerate(live_rows)}
-            cmap = {c: i for i, c in enumerate(live_cols)}
-            dense = [[0] * len(live_cols) for _ in live_rows]
-            for r, row in work.rows.items():
-                for c, v in row.items():
-                    dense[rmap[r]][cmap[c]] = v
+                if pivot is None:
+                    return low
+                factor = col[low] * pivot[low]
+                for r, v in pivot.items():
+                    new = col.get(r, 0) - factor * v
+                    if not new:
+                        del col[r]
+                        continue
+                    if r not in col:
+                        heapq.heappush(heap, -r)
+                    col[r] = new
+            return None
+
+        aside: list[dict[int, int]] = []
+        for c in sorted(self.cols):
+            col = {r: self.rows[r][c] for r in self.cols[c]}
+            low = reduce(col, False)
+            if low is not None:
+                if col[low] in (1, -1):
+                    pivots[low] = col
+                else:
+                    aside.append(col)
+        factors = [1] * len(pivots)
+        for col in aside:
+            reduce(col, True)
+        core = [col for col in aside if col]
+        if core:
+            rmap = {r: i for i, r in enumerate(sorted({r for col in core for r in col}))}
+            dense = [[0] * len(core) for _ in rmap]
+            for j, col in enumerate(core):
+                for r, v in col.items():
+                    dense[rmap[r]][j] = v
             factors.extend(invariant_factors(dense))
         return len(factors), factors

@@ -29,7 +29,7 @@ from .equivariant import (
     snf_homology,
 )
 from .geometry import DegeneratePosition, FlatPair
-from .spaces import LatticeSpace, Window
+from .spaces import LatticeSpace, Window, json_int
 from .wrongway import WrongWayContext, sign_identity_residual, wrong_way
 
 REQUIRED_KEYS = ("name", "pair", "group", "window", "r_max", "seed", "perturb", "pipeline")
@@ -105,9 +105,11 @@ class ScenarioRun:
             self.pair = FlatPair.from_json(config["pair"])
             self.group = group_by_name(config["group"])
             self.window = Window.from_json(config["window"])
-            self.r_max = int(config["r_max"])
-            self.seed = int(config["seed"])
-            self.perturb = bool(config["perturb"])
+            self.r_max = json_int(config["r_max"], "r_max")
+            self.seed = json_int(config["seed"], "seed")
+            self.perturb = config["perturb"]
+            if type(self.perturb) is not bool:
+                raise ValueError(f"perturb must be a boolean, got {self.perturb!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"bad scenario configuration: {exc}") from None
         if self.window.dim != self.pair.ambient_dim:
@@ -155,7 +157,7 @@ class ScenarioRun:
     def _op_restrict_equivariance(self, step: dict) -> dict:
         if not isinstance(self.current, EquivariantChain):
             raise ScenarioError("restrict_equivariance needs an equivariant chain")
-        radius = int(step["radius"])
+        radius = json_int(step["radius"], "radius")
         sub = TranslationAction.tangential(self.pair)
         self.current = restrict_equivariance(self.current, sub, self.pair, radius)
         return {"radius": radius}
@@ -177,7 +179,7 @@ class ScenarioRun:
         return {"class": coords, "degree": degree}
 
     def _op_homology(self, step: dict) -> dict:
-        dim = int(step["torus"])
+        dim = json_int(step["torus"], "torus")
         complex_ = build_quotient_complex(
             TranslationAction.standard(dim), self.r_max, range(0, dim + 2))
         report = snf_homology(complex_)
@@ -209,13 +211,13 @@ class ScenarioRun:
     def _op_chain_stats(self, step: dict) -> dict:
         if not isinstance(self.current, UfChain):
             raise ScenarioError("chain_stats needs a plain chain")
-        radii = [int(r) for r in step.get("radii", [0, 1, 2])]
+        radii = [json_int(r, "radii entry") for r in step.get("radii", [0, 1, 2])]
         return {"stats": chain_stats(self.current, radii).to_json()}
 
     def _op_norms(self, step: dict) -> dict:
         if not isinstance(self.current, UfChain):
             raise ScenarioError("norms needs a plain chain")
-        max_power = int(step.get("max_power", 3))
+        max_power = json_int(step.get("max_power", 3), "max_power")
         return {
             "uf_norms": {str(p): _frac_str(uf_norm(self.current, p))
                          for p in range(max_power + 1)},
@@ -230,11 +232,11 @@ class ScenarioRun:
         return {"window": self.window.to_json()}
 
     def _op_sign_identity(self, step: dict) -> dict:
-        count = int(step["count"])
-        degree = int(step["degree"])
-        n_terms = int(step.get("terms", 4))
-        spread = int(step.get("spread", 2))
-        box = int(step.get("box", 3))
+        count = json_int(step["count"], "count")
+        degree = json_int(step["degree"], "degree")
+        n_terms = json_int(step.get("terms", 4), "terms")
+        spread = json_int(step.get("spread", 2), "spread")
+        box = json_int(step.get("box", 3), "box")
         space = LatticeSpace(self.pair.ambient_dim)
         ctx = self._ctx()
         q = self.pair.codim

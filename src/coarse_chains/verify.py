@@ -183,10 +183,8 @@ def _check_norm_growth(seed: int, count: int) -> tuple[bool, str]:
 
 
 def _transposed(m: SparseIntMatrix) -> SparseIntMatrix:
-    dense = m.to_dense()
     return SparseIntMatrix(
-        m.ncols, m.nrows,
-        [(c, r, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v])
+        m.ncols, m.nrows, [(c, r, v) for r, row in m.rows.items() for c, v in row.items()])
 
 
 def _check_snf_cross(transpose_mutation: bool) -> tuple[bool, str]:
@@ -205,7 +203,7 @@ def _check_snf_cross(transpose_mutation: bool) -> tuple[bool, str]:
 
         try:
             # Direct route.
-            ranks = {d: m.clone().rank_and_factors() for d, m in matrices.items()}
+            ranks = {d: m.rank_and_factors() for d, m in matrices.items()}
             betti = betti_of(ranks)
             torsion = {d: [x for x in ranks[d + 1][1] if x > 1]
                        for d in qc.degrees if d + 1 in ranks}

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from coarse_chains import intlinalg
+from coarse_chains.equivariant import TranslationAction, build_quotient_complex
 from coarse_chains.intlinalg import (
     SmithSolver,
     SparseIntMatrix,
@@ -229,6 +231,104 @@ def test_unit_pivot_reduction_keeps_torsion():
     assert invariant_factors(a) == [1, 6]
     sparse = SparseIntMatrix(2, 2, [(0, 0, 2), (1, 1, 3)])
     assert sparse.rank_and_factors() == (2, [1, 6])
+
+
+def _sparse(a):
+    return SparseIntMatrix(len(a), len(a[0]) if a else 0,
+                           [(i, j, x) for i, row in enumerate(a) for j, x in enumerate(row) if x])
+
+
+def _unimodular(rng, n, steps):
+    u = identity(n)
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        f = rng.choice([-2, -1, 1, 2])
+        u[i] = [x + f * y for x, y in zip(u[i], u[j])]
+    if n and rng.random() < 0.5:
+        u[0] = [-x for x in u[0]]
+    return u
+
+
+@pytest.fixture
+def dense_cores(monkeypatch):
+    """The dense cores rank_and_factors hands to the Smith routine."""
+    seen = []
+
+    def recording(a):
+        seen.append([row[:] for row in a])
+        return invariant_factors(a)
+
+    monkeypatch.setattr(intlinalg, "invariant_factors", recording)
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_reduction_recovers_planted_invariant_factors(seed, dense_cores):
+    # A = U D V with U, V unimodular has D's diagonal as invariant factors;
+    # sorted draws from 1 | 2 | 6 | 12 form a divisibility chain.
+    rng = random.Random(100 + seed)
+    torsion = 0
+    for _ in range(25):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        planted = sorted(rng.choice([1, 1, 2, 6, 12]) for _ in range(rng.randint(0, min(m, n))))
+        d = [[planted[i] if i == j and i < len(planted) else 0 for j in range(n)]
+             for i in range(m)]
+        a = mat_mul(mat_mul(_unimodular(rng, m, 2 * m), d), _unimodular(rng, n, 2 * n))
+        # Empty rows and columns at random places.
+        for _ in range(rng.randint(0, 2)):
+            a.insert(rng.randint(0, len(a)), [0] * len(a[0]))
+        for _ in range(rng.randint(0, 2)):
+            j = rng.randint(0, len(a[0]))
+            a = [row[:j] + [0] + row[j:] for row in a]
+        r, factors = _sparse(a).rank_and_factors()
+        assert (r, factors) == (len(planted), planted)
+        assert factors == invariant_factors(a)
+        assert r == frac_rank_oracle(a)
+        torsion += any(x > 1 for x in planted)
+    assert torsion >= 10
+    assert dense_cores, "no case reached the dense core"
+
+
+@pytest.mark.parametrize("a, want, cores", [
+    # Column 1 keeps low entry 2 and is cleared on pivot row 0: core [[2]].
+    ([[1, 1], [0, 2]], (2, [1, 2]), [[[2]]]),
+    # Clearing row 1 moves -3 into non-pivot row 0; without it the core
+    # would read [[0], [2]] and give the factor 2.
+    ([[3, 0], [1, 1], [0, 2]], (2, [1, 1]), [[[-3], [2]]]),
+    # Reducing column 1 against the pivot with low 1 leaves low entry -2.
+    ([[1, 1], [1, 3]], (2, [1, 2]), [[[-2]]]),
+    # Column 0 is set aside, then cleared to zero by the later pivot.
+    ([[2, 1]], (1, [1]), []),
+    # Column 1 reduces to zero: rank one, no core.
+    ([[1, 1], [1, 1]], (1, [1]), []),
+])
+def test_sparse_reduction_hand_cases(a, want, cores, dense_cores):
+    assert _sparse(a).rank_and_factors() == want
+    assert dense_cores == cores
+    assert want == (frac_rank_oracle(a), invariant_factors(a))
+
+
+def test_sparse_reduction_leaves_the_matrix_unchanged():
+    rng = random.Random(11)
+    for _ in range(30):
+        a = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), lo=-3, hi=3, density=0.5)
+        sparse = _sparse(a)
+        rows = {r: dict(row) for r, row in sparse.rows.items()}
+        cols = {c: set(rs) for c, rs in sparse.cols.items()}
+        sparse.rank_and_factors()
+        assert sparse.rows == rows and sparse.cols == cols
+
+
+@pytest.mark.parametrize("n, ordered, ranks", [
+    (3, True, {1: 0, 2: 24, 3: 316, 4: 3058}),
+    (4, False, {1: 0, 2: 36, 3: 318, 4: 1224, 5: 2919}),
+])
+def test_torus_boundary_ranks(n, ordered, ranks):
+    qc = build_quotient_complex(TranslationAction.standard(n), 1, range(n + 2),
+                                include_degenerate=ordered)
+    for d, m in qc.matrices.items():
+        assert m.rank_and_factors() == (ranks[d], [1] * ranks[d]), d
+    assert sorted(qc.matrices) == sorted(ranks)
 
 
 def test_helpers():

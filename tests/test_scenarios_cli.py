@@ -394,3 +394,34 @@ def test_scenario_configuration_needs_integers(tmp_path, capsys, name):
     assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: bad scenario configuration") and err.count("\n") == 1
+
+
+STRICT_CONFIGS = {
+    "string perturb": ({"perturb": "false"}, "bad scenario configuration: perturb must be a boolean"),
+    "integer perturb": ({"perturb": 0}, "bad scenario configuration: perturb must be a boolean"),
+    "float r_max": ({"r_max": 1.9}, "bad scenario configuration: r_max must be an integer"),
+    "boolean seed": ({"seed": True}, "bad scenario configuration: seed must be an integer"),
+    "float radius": (
+        {"pipeline": [{"op": "kuhn_cycle"}, {"op": "restrict_equivariance", "radius": 1.7}]},
+        r"step 1 \(restrict_equivariance\): radius must be an integer"),
+    "string torus": ({"pipeline": [{"op": "homology", "torus": "2"}]},
+                     r"step 0 \(homology\): torus must be an integer"),
+    "float count": ({"pipeline": [{"op": "sign_identity", "count": 2.0, "degree": 2}]},
+                    r"step 0 \(sign_identity\): count must be an integer"),
+    "boolean box": ({"pipeline": [{"op": "sign_identity", "count": 2, "degree": 2, "box": True}]},
+                    r"step 0 \(sign_identity\): box must be an integer"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRICT_CONFIGS))
+def test_scenario_values_are_read_strictly(tmp_path, capsys, name):
+    overrides, message = STRICT_CONFIGS[name]
+    config = load_scenario("t2-to-s1")
+    config.update(overrides)
+    path = tmp_path / "strict.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ScenarioError, match=message):
+        run_scenario(path)
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
