@@ -282,14 +282,14 @@ def solve_int(a: Matrix, b: Sequence[int]) -> list[int] | None:
 def column_lattice_basis(a: Matrix) -> Matrix:
     """A basis of the lattice spanned by the columns of A, one vector per row.
 
-    With D = U A V, the column lattice of A is that of U^{-1} D, so its basis
-    is the solutions y of U y = d_i e_i over the nonzero invariant factors.
+    With D = U A V and V unimodular, A and A V span the same lattice, and
+    A V = U^{-1} D: its first r columns U^{-1} d_i e_i are a basis.
     """
     if not a or not a[0]:
         return []
-    d, u, _ = snf_with_transforms(a)
-    u_solver = SmithSolver(u)
-    return [u_solver.solve_sparse({i: x}) for i, x in enumerate(diagonal(d)) if x]
+    d, _, v = snf_with_transforms(a)
+    r = len([x for x in diagonal(d) if x])
+    return [[sum(x * row[j] for x, row in zip(a_row, v)) for a_row in a] for j in range(r)]
 
 
 # -- sparse reduction ------------------------------------------------------
@@ -320,9 +320,6 @@ class SparseIntMatrix:
                     del self.cols[c]
             if not row:
                 del self.rows[r]
-
-    def entry(self, r: int, c: int) -> int:
-        return self.rows.get(r, {}).get(c, 0)
 
     def nnz(self) -> int:
         return sum(len(row) for row in self.rows.values())

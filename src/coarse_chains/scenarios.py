@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -37,6 +38,9 @@ REQUIRED_KEYS = ("name", "pair", "group", "window", "r_max", "seed", "perturb", 
 # A sign_identity step draws at most this many chains per chain it must
 # check; zero chains and degenerate draws are rejected and count as attempts.
 SIGN_IDENTITY_ATTEMPTS_PER_CHAIN = 100
+
+# The name becomes the report's file name, so it may not hold a path.
+SCENARIO_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
 
 
 class ScenarioError(ValueError):
@@ -102,6 +106,12 @@ class ScenarioRun:
     def __init__(self, config: dict) -> None:
         self.config = config
         try:
+            name = config["name"]
+            if not (isinstance(name, str) and SCENARIO_NAME.fullmatch(name)):
+                raise ValueError(f"name must be letters, digits, '.', '_' and '-', "
+                                 f"not starting with '.', got {name!r}")
+            if not isinstance(config["pipeline"], list):
+                raise ValueError(f"pipeline must be a list of steps, got {config['pipeline']!r}")
             self.pair = FlatPair.from_json(config["pair"])
             self.group = group_by_name(config["group"])
             self.window = Window.from_json(config["window"])
@@ -122,8 +132,8 @@ class ScenarioRun:
 
     def run(self) -> dict:
         for i, step in enumerate(self.config["pipeline"]):
-            if not isinstance(step, dict) or "op" not in step:
-                raise ScenarioError(f"pipeline step {i} must be an object with an 'op'")
+            if not isinstance(step, dict) or not isinstance(step.get("op"), str):
+                raise ScenarioError(f"pipeline step {i} must be an object with a string 'op'")
             op = step["op"]
             handler = getattr(self, f"_op_{op.replace('-', '_')}", None)
             if handler is None:

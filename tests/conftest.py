@@ -10,12 +10,9 @@ import random
 
 import pytest
 
-from coarse_chains import INTEGERS, INTEGERS_MOD_2, RATIONALS
-from coarse_chains.sampling import random_chain, random_coeff  # noqa: F401 - shared with tests
-
-ALL_GROUPS = (INTEGERS, INTEGERS_MOD_2, RATIONALS)
-
-PAIR_SET = ((2, 1), (3, 1), (3, 2), (4, 2))
+# Shared with the tests; the pairs and groups are the verify battery's.
+from coarse_chains.sampling import random_chain, random_coeff  # noqa: F401
+from coarse_chains.verify import GROUPS as ALL_GROUPS, PAIR_SET  # noqa: F401
 
 
 @pytest.fixture

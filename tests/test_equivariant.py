@@ -105,12 +105,15 @@ def _random_actions(seed: int, count: int, max_dim: int = 4) -> list[Translation
     """Seeded actions of rank 1..n on Z^1..Z^max_dim with small generators."""
     rng = random.Random(seed)
     out = []
-    while len(out) < count:
+    for _ in range(10 * count):  # seed 11 took 128 draws for 120 actions
+        if len(out) == count:
+            break
         n = rng.randint(1, max_dim)
         r = rng.randint(1, n)
         gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
         if frac_rank_oracle(gens) == r:
             out.append(TranslationAction(LatticeSpace(n), tuple(map(tuple, gens))))
+    assert len(out) == count, f"only {len(out)} of {count} actions in {10 * count} draws"
     return out
 
 

@@ -231,7 +231,9 @@ def test_cocycle_example_with_per_face_oracle():
 
 def test_cocycle_random_property(rng):
     done = 0
-    while done < 400:
+    for _ in range(4000):  # 400 general-position simplices took 546 draws
+        if done == 400:
+            break
         n, q = rng.choice(list(PAIR_SET))
         pair = FlatPair(n, q)
         verts = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(q + 2)]
@@ -247,6 +249,7 @@ def test_cocycle_random_property(rng):
         )
         assert oracle == 0
         done += 1
+    assert done == 400, f"only {done} of 400 general-position simplices in 4000 draws"
 
 
 # -- symbolic perturbation --------------------------------------------------

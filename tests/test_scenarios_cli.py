@@ -6,7 +6,13 @@ import pytest
 
 from coarse_chains import INTEGERS, LatticeSpace, UfChain
 from coarse_chains.cli import main
-from coarse_chains.scenarios import ScenarioError, canonical_dumps, load_scenario, run_scenario
+from coarse_chains.scenarios import (
+    ScenarioError,
+    ScenarioRun,
+    canonical_dumps,
+    load_scenario,
+    run_scenario,
+)
 
 
 def test_bundled_scenario_resolution():
@@ -425,3 +431,42 @@ def test_scenario_values_are_read_strictly(tmp_path, capsys, name):
     assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+BAD_SHAPES = {
+    "integer pipeline": ({"pipeline": 5}, "pipeline must be a list of steps"),
+    "object pipeline": ({"pipeline": {"op": "kuhn_cycle"}}, "pipeline must be a list of steps"),
+    "integer op": ({"pipeline": [{"op": 5}]}, "pipeline step 0 must be an object with a string 'op'"),
+    "list step": ({"pipeline": [["kuhn_cycle"]]}, "pipeline step 0 must be an object"),
+    "parent-directory name": ({"name": "../escape"}, "name must be letters"),
+    "nested name": ({"name": "a/b"}, "name must be letters"),
+    "hidden name": ({"name": ".hidden"}, "name must be letters"),
+    "empty name": ({"name": ""}, "name must be letters"),
+    "list name": ({"name": ["x"]}, "name must be letters"),
+    "non-ascii name": ({"name": "tést"}, "name must be letters"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SHAPES))
+def test_scenario_name_and_pipeline_shape_are_checked(tmp_path, capsys, name):
+    overrides, message = BAD_SHAPES[name]
+    config = load_scenario("t2-to-s1")
+    config.update(overrides)
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ScenarioError, match=message):
+        run_scenario(path)
+    out_dir = tmp_path / "out" / "reports"
+    assert main(["run", str(path), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not any(p.name.endswith(".report.json") for p in tmp_path.rglob("*"))
+
+
+def test_bundled_scenario_names_are_accepted():
+    for name in ("t2-to-s1", "t3-to-t2", "t3-to-s1", "sign-identity-z3-q2"):
+        config = load_scenario(name)
+        assert config["name"] == name
+        ScenarioRun(config)
+    config["name"] = "run_2.v1-final"
+    ScenarioRun(config)

@@ -10,11 +10,11 @@ import json
 from coarse_chains import FlatPair, fill, thom_crossing
 from coarse_chains.cli import main
 from coarse_chains.verify import (
-    _check_fill_boundary,
-    _check_filling_independence,
-    _check_snf_cross,
-    _check_transport,
     _patched_thom_sign,
+    check_fill_boundary,
+    check_filling_independence,
+    check_snf_cross,
+    check_transport,
 )
 
 
@@ -35,20 +35,20 @@ def test_patched_thom_sign_restores_bindings():
 
 
 def test_check_fill_boundary_passes():
-    ok, detail = _check_fill_boundary(1, 50)
+    ok, detail = check_fill_boundary(1, 50)
     assert ok and "50" in detail
 
 
 def test_check_snf_cross_clean_and_mutated():
-    ok, _ = _check_snf_cross(transpose_mutation=False)
+    ok, _ = check_snf_cross(transpose_mutation=False)
     assert ok
-    bad, detail = _check_snf_cross(transpose_mutation=True)
+    bad, detail = check_snf_cross(transpose_mutation=True)
     assert not bad
     assert "shape mismatch" in detail or "compose" in detail or "betti" in detail
 
 
 def test_check_transport_reports_signs():
-    ok, detail = _check_transport()
+    ok, detail = check_transport()
     assert ok
     assert "T^2->T^1" in detail
 
@@ -56,10 +56,10 @@ def test_check_transport_reports_signs():
 def test_filling_independence_catches_the_thom_sign_mutation():
     # The dropped sign moves both representatives alike, so only the
     # orientation flip of the sheared representative can expose it.
-    assert _check_filling_independence() == (
+    assert check_filling_independence() == (
         True, "class [-1] stable under a sheared representative")
     with _patched_thom_sign():
-        ok, detail = _check_filling_independence()
+        ok, detail = check_filling_independence()
     assert not ok
     assert "orientation flip did not negate the sheared class: [-1] vs [-1]" in detail
 

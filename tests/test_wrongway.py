@@ -21,8 +21,9 @@ from coarse_chains import (
     uf_norm,
     wrong_way,
 )
+from coarse_chains.sampling import general_position_chain
 
-from conftest import PAIR_SET, random_chain
+from conftest import PAIR_SET
 from oracles import thom_oracle
 
 Z2 = LatticeSpace(2)
@@ -31,21 +32,6 @@ PAIR21 = FlatPair(2, 1)
 
 def make_ctx(pair, group=INTEGERS, perturb=False, window=None):
     return WrongWayContext(pair, group, perturb, window)
-
-
-def general_position_chain(rng, pair, degree, group=INTEGERS, **kw):
-    ctx = make_ctx(pair, group)
-    space = LatticeSpace(pair.ambient_dim)
-    while True:
-        c = random_chain(rng, space, degree, group, **kw)
-        try:
-            if degree >= pair.codim + 1:
-                sign_identity_residual(c, ctx)
-            else:
-                cap_thom(c, ctx)
-        except DegeneratePosition:
-            continue
-        return c
 
 
 # -- cap -------------------------------------------------------------------
@@ -74,7 +60,7 @@ def test_cap_total_coefficient_is_crossing_number(rng):
     for n, q in PAIR_SET:
         pair = FlatPair(n, q)
         for _ in range(30):
-            c = general_position_chain(rng, pair, q)
+            c = general_position_chain(rng, pair, q, make_ctx(pair))
             expected = 0
             for tup, coeff in c.terms.items():
                 expected += coeff * thom_oracle(fill(tup), pair)
@@ -139,7 +125,7 @@ def test_wrong_way_window_check():
                          ids=lambda g: g.name)
 def test_wrong_way_all_groups(group, rng):
     pair = FlatPair(3, 1)
-    c = general_position_chain(rng, pair, 2, group)
+    c = general_position_chain(rng, pair, 2, make_ctx(pair, group))
     image = wrong_way(c, make_ctx(pair, group))
     assert image.group == group
     assert image.space.dim == 2
@@ -154,7 +140,7 @@ def test_sign_identity_random(n, q):
     ctx = make_ctx(pair)
     for degree in (q + 1, q + 2):
         for _ in range(40):
-            c = general_position_chain(rng, pair, degree)
+            c = general_position_chain(rng, pair, degree, ctx)
             assert sign_identity_residual(c, ctx).is_zero()
 
 
@@ -231,7 +217,7 @@ def test_wrong_way_commutes_with_tangential_translation(rng):
         pair = FlatPair(n, q)
         ctx = make_ctx(pair, perturb=True)
         for _ in range(30):
-            c = general_position_chain(rng, pair, q + 1)
+            c = general_position_chain(rng, pair, q + 1, make_ctx(pair))
             shift = tuple(rng.randint(-4, 4) for _ in range(n - q)) + (0,) * q
             moved = UfChain(
                 c.degree, c.space, c.group,
@@ -252,7 +238,7 @@ def test_support_locality(rng):
         pair = FlatPair(n, q)
         ctx = make_ctx(pair)
         for _ in range(40):
-            c = general_position_chain(rng, pair, q + 1)
+            c = general_position_chain(rng, pair, q + 1, ctx)
             radius = c.propagation()
             capped = cap_thom(c, ctx)
             for tup in capped.terms:
