@@ -1,9 +1,10 @@
 """Command line interface: scenario runner, verifier, one-shot operations.
 
-Exit codes: 0 success, 1 parse/configuration error, 2 degenerate position,
-3 spread/radius truncation.  COARSE_CHAINS_THREADS caps the number of
-worker processes used to run several scenarios at once (0 or unset: one per
-CPU); there are never more workers than scenarios.
+Exit codes: 0 success, 1 parse/configuration error or unwritable output
+path, 2 degenerate position, 3 spread/radius truncation.
+COARSE_CHAINS_THREADS caps the number of worker processes used to run
+several scenarios at once (0 or unset: one per CPU); there are never more
+workers than scenarios.
 """
 
 from __future__ import annotations
@@ -38,6 +39,21 @@ def _degenerate_payload(exc: DegeneratePosition) -> dict:
     return payload
 
 
+def _write_report(path: Path, text: str) -> int:
+    """Write a report, creating missing parent directories.
+
+    An OSError becomes one error line and exit code 1, so a bad output path
+    never ends in a traceback or takes down the other scenario workers.
+    """
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    return EXIT_OK
+
+
 def _run_one_scenario(source: str, out_dir: str | None) -> int:
     started = time.perf_counter()
     try:
@@ -53,10 +69,9 @@ def _run_one_scenario(source: str, out_dir: str | None) -> int:
               file=sys.stderr, end="")
         return EXIT_TRUNCATION
     name = report["scenario"]["name"]
-    directory = Path(out_dir) if out_dir else Path.cwd()
-    directory.mkdir(parents=True, exist_ok=True)
-    out_path = directory / f"{name}.report.json"
-    out_path.write_text(canonical_dumps(report))
+    out_path = (Path(out_dir) if out_dir else Path.cwd()) / f"{name}.report.json"
+    if _write_report(out_path, canonical_dumps(report)):
+        return EXIT_PARSE
     elapsed = time.perf_counter() - started
     print(f"scenario {name}: report written to {out_path} ({elapsed:.2f}s)",
           file=sys.stderr)
@@ -91,9 +106,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_verify(mutation=args.mutate)
     for check in report["checks"]:
         print(f"{check['status'].upper():4s} {check['name']}: {check['detail']}")
-    text = canonical_dumps(report)
-    if args.out:
-        Path(args.out).write_text(text)
+    if args.out and _write_report(Path(args.out), canonical_dumps(report)):
+        return EXIT_PARSE
     print(f"verify finished in {time.perf_counter() - started:.1f}s", file=sys.stderr)
     return EXIT_OK if report["passed"] else 1
 
@@ -119,8 +133,7 @@ def _cmd_wrongway(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    Path(args.outfile).write_text(canonical_dumps(image.to_json()))
-    return EXIT_OK
+    return _write_report(Path(args.outfile), canonical_dumps(image.to_json()))
 
 
 def _cmd_homology(args: argparse.Namespace) -> int:
@@ -146,9 +159,8 @@ def _cmd_homology(args: argparse.Namespace) -> int:
     }
     text = canonical_dumps(payload)
     if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+        return _write_report(Path(args.out), text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -395,24 +395,25 @@ def build_quotient_complex(
     if degrees and degrees != tuple(range(degrees[0], degrees[-1] + 1)):
         raise ValueError("degrees must form a contiguous range")
     n = action.space.dim
-    base_points = action.fundamental_points()
 
+    # Degree d extends each degree d-1 tuple by every admissible last vertex.
+    # Canonicity rests on the first vertex alone, and a tuple meets the
+    # spread bound and the oriented order exactly when each prefix does, so
+    # this reaches every degree d tuple once; in product order, sorted.
     bases: dict[int, list[ChainTuple]] = {}
-    for d in degrees:
-        tuples: list[ChainTuple] = []
-        for v0 in base_points:
-            stack: list[list[Point]] = [[v0]]
-            while stack:
-                chosen = stack.pop()
-                if len(chosen) == d + 1:
-                    tuples.append(tuple(chosen))
-                    continue
-                lo = [max(p[i] for p in chosen) - r_max for i in range(n)]
-                hi = [min(p[i] for p in chosen) + r_max for i in range(n)]
+    layer: list[ChainTuple] = [(p,) for p in action.fundamental_points()]
+    for d in range(degrees[-1] + 1 if degrees else 0):
+        if d:
+            grown: list[ChainTuple] = []
+            for tup in layer:
+                lo = [max(p[i] for p in tup) - r_max for i in range(n)]
+                hi = [min(p[i] for p in tup) + r_max for i in range(n)]
                 for nxt in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-                    if include_degenerate or tuple(nxt) > chosen[-1]:
-                        stack.append(chosen + [tuple(nxt)])
-        bases[d] = sorted(tuples)
+                    if include_degenerate or nxt > tup[-1]:
+                        grown.append(tup + (nxt,))
+            layer = grown
+        if d >= degrees[0]:
+            bases[d] = layer
 
     index = {d: {t: i for i, t in enumerate(basis)} for d, basis in bases.items()}
     matrices: dict[int, SparseIntMatrix] = {}
@@ -442,22 +443,16 @@ class DegreeHomology:
 
 @dataclass
 class HomologyReport:
-    """Betti numbers and torsion per degree, with optional class coordinates."""
+    """Betti numbers and torsion per degree."""
 
     entries: list[DegreeHomology]
-    classes: dict[int, list[int]] = field(default_factory=dict)
 
     def betti(self) -> dict[int, int]:
         return {e.degree: e.betti for e in self.entries}
 
     def to_json(self) -> list[dict]:
-        out = []
-        for e in self.entries:
-            item = {"degree": e.degree, "betti": e.betti, "torsion": list(e.torsion)}
-            if e.degree in self.classes:
-                item["class"] = list(self.classes[e.degree])
-            out.append(item)
-        return out
+        return [{"degree": e.degree, "betti": e.betti, "torsion": list(e.torsion)}
+                for e in self.entries]
 
 
 def snf_homology(complex_: QuotientComplex) -> HomologyReport:
@@ -548,8 +543,8 @@ def identify_class(cycle: EquivariantChain, complex_: QuotientComplex) -> list[i
     bnd = complex_.matrices[d + 1]
     n_cols = bnd.ncols
     y_matrix = [[0] * n_cols for _ in range(k)]
-    for j, rows in bnd.cols.items():
-        y = kernel.solve_sparse({r: bnd.rows[r][j] for r in rows})
+    for j, col in enumerate(bnd.cols):
+        y = kernel.solve_sparse(col)
         if y is None:
             raise ValueError("boundary image escaped the cycle lattice; "
                              "the boundary matrices do not compose to zero")

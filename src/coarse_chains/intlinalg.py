@@ -7,11 +7,12 @@ Dense routines carry the unimodular transforms and are used where the
 coordinates matter (class identification).  Solving is "factor once, solve
 many": SmithSolver keeps one Smith form of a matrix and answers every
 right-hand side against it by unimodular back-substitution, so a batch of
-solves costs one Smith form, not one per column.  The sparse reduction handles
-the large boundary matrices of quotient complexes: a column reduction, as in
-persistent homology, that only ever adds multiples of columns whose lowest
-entry is +-1 (unimodular operations only), and hands the small leftover core
-to the dense routine, so ranks and invariant factors stay exact.
+solves costs one Smith form, not one per column.  SparseIntMatrix holds the
+large boundary matrices of quotient complexes by column only, one
+{row: nonzero value} dict per column, the layout a column reduction reads.
+Its reduction, as in persistent homology, only ever adds multiples of columns
+whose lowest entry is +-1 (unimodular operations only), and hands the small
+leftover core to the dense routine, so ranks and invariant factors stay exact.
 """
 
 from __future__ import annotations
@@ -295,62 +296,46 @@ def column_lattice_basis(a: Matrix) -> Matrix:
 # -- sparse reduction ------------------------------------------------------
 
 class SparseIntMatrix:
-    """Row-major sparse integer matrix for exact rank/factor extraction."""
+    """Sparse integer matrix stored by column: cols[j] maps row -> nonzero value."""
 
     def __init__(self, nrows: int, ncols: int,
                  entries: Iterable[tuple[int, int, int]] = ()) -> None:
         self.nrows = nrows
         self.ncols = ncols
-        self.rows: dict[int, dict[int, int]] = {}
-        self.cols: dict[int, set[int]] = {}
+        self.cols: list[dict[int, int]] = [{} for _ in range(ncols)]
         for r, c, v in entries:
-            if v:
-                self._set(r, c, self.rows.get(r, {}).get(c, 0) + v)
-
-    def _set(self, r: int, c: int, v: int) -> None:
-        row = self.rows.setdefault(r, {})
-        if v:
-            row[c] = v
-            self.cols.setdefault(c, set()).add(r)
-        else:
-            if c in row:
-                del row[c]
-                self.cols[c].discard(r)
-                if not self.cols[c]:
-                    del self.cols[c]
-            if not row:
-                del self.rows[r]
+            col = self.cols[c]
+            total = col.get(r, 0) + v
+            if total:
+                col[r] = total
+            else:
+                col.pop(r, None)
 
     def nnz(self) -> int:
-        return sum(len(row) for row in self.rows.values())
+        return sum(map(len, self.cols))
 
     def to_dense(self) -> Matrix:
         out = [[0] * self.ncols for _ in range(self.nrows)]
-        for r, row in self.rows.items():
-            for c, v in row.items():
+        for c, col in enumerate(self.cols):
+            for r, v in col.items():
                 out[r][c] = v
         return out
+
+    def transposed(self) -> "SparseIntMatrix":
+        return SparseIntMatrix(self.ncols, self.nrows,
+                               ((c, r, v) for c, col in enumerate(self.cols)
+                                for r, v in col.items()))
 
     def multiply(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in sparse multiply")
-        out = SparseIntMatrix(self.nrows, other.ncols)
-        acc: dict[int, dict[int, int]] = {}
-        for r, row in self.rows.items():
-            target = acc.setdefault(r, {})
-            for k, v in row.items():
-                orow = other.rows.get(k)
-                if orow:
-                    for c, w in orow.items():
-                        target[c] = target.get(c, 0) + v * w
-        for r, row in acc.items():
-            for c, v in row.items():
-                if v:
-                    out._set(r, c, v)
-        return out
+        # Column c of A B is the sum over k of B[k, c] times column k of A.
+        return SparseIntMatrix(self.nrows, other.ncols,
+                               ((r, c, w * v) for c, ocol in enumerate(other.cols)
+                                for k, w in ocol.items() for r, v in self.cols[k].items()))
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not any(self.cols)
 
     def rank_and_factors(self) -> tuple[int, list[int]]:
         """Exact rank and invariant factors; the matrix is left unchanged.
@@ -387,8 +372,7 @@ class SparseIntMatrix:
             return None
 
         aside: list[dict[int, int]] = []
-        for c in sorted(self.cols):
-            col = {r: self.rows[r][c] for r in self.cols[c]}
+        for col in map(dict, self.cols):
             low = reduce(col, False)
             if low is not None:
                 if col[low] in (1, -1):

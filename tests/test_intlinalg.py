@@ -313,10 +313,41 @@ def test_sparse_reduction_leaves_the_matrix_unchanged():
     for _ in range(30):
         a = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), lo=-3, hi=3, density=0.5)
         sparse = _sparse(a)
-        rows = {r: dict(row) for r, row in sparse.rows.items()}
-        cols = {c: set(rs) for c, rs in sparse.cols.items()}
+        cols = [dict(col) for col in sparse.cols]
         sparse.rank_and_factors()
-        assert sparse.rows == rows and sparse.cols == cols
+        assert sparse.cols == cols
+
+
+def test_sparse_entries_summing_to_zero_leave_no_key():
+    sparse = SparseIntMatrix(2, 3, [(0, 1, 2), (1, 2, 4), (0, 1, -2), (1, 2, -1), (1, 0, 0)])
+    assert sparse.cols == [{}, {}, {1: 3}]
+    assert sparse.nnz() == 1 and not sparse.is_zero()
+    cancelled = SparseIntMatrix(2, 2, [(1, 1, 5), (1, 1, -5)])
+    assert cancelled.cols == [{}, {}]
+    assert cancelled.nnz() == 0 and cancelled.is_zero()
+    # A product whose terms cancel stores nothing either.
+    a = _sparse([[1, 1]])
+    b = _sparse([[1], [-1]])
+    assert a.multiply(b).cols == [{}] and a.multiply(b).is_zero()
+
+
+def test_sparse_transpose_matches_dense_transpose():
+    rng = random.Random(12)
+    for _ in range(30):
+        a = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), lo=-3, hi=3, density=0.5)
+        sparse = _sparse(a)
+        t = sparse.transposed()
+        assert (t.nrows, t.ncols) == (sparse.ncols, sparse.nrows)
+        assert t.to_dense() == transpose(a)
+        assert t.transposed().cols == sparse.cols
+
+
+# (n, ordered) -> basis sizes by degree, and nonzeros of each boundary matrix.
+TORUS_SHAPES = {
+    (3, True): ([1, 27, 343, 3375, 29791], {1: 0, 2: 923, 3: 11548, 4: 123907}),
+    (4, False): ([1, 40, 360, 1546, 4144, 7896],
+                 {1: 0, 2: 1080, 3: 6184, 4: 20720, 5: 47376}),
+}
 
 
 @pytest.mark.parametrize("n, ordered, ranks", [
@@ -326,6 +357,9 @@ def test_sparse_reduction_leaves_the_matrix_unchanged():
 def test_torus_boundary_ranks(n, ordered, ranks):
     qc = build_quotient_complex(TranslationAction.standard(n), 1, range(n + 2),
                                 include_degenerate=ordered)
+    sizes, nnz = TORUS_SHAPES[(n, ordered)]
+    assert [qc.basis_size(d) for d in qc.degrees] == sizes
+    assert {d: m.nnz() for d, m in qc.matrices.items()} == nnz
     for d, m in qc.matrices.items():
         assert m.rank_and_factors() == (ranks[d], [1] * ranks[d]), d
     assert sorted(qc.matrices) == sorted(ranks)

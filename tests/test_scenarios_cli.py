@@ -318,6 +318,44 @@ def test_cli_homology_bad_rmax_exits_1(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _one_write_error(err, path):
+    return err == err.splitlines()[0] + "\n" and err.startswith(f"error: cannot write {path}: ")
+
+
+def test_cli_unwritable_outputs_exit_1(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    assert main(["run", "t2-to-s1", "--out-dir", str(blocker)]) == 1
+    assert _one_write_error(capsys.readouterr().err, blocker / "t2-to-s1.report.json")
+    monkeypatch.setattr("coarse_chains.cli.run_verify",
+                        lambda mutation: {"checks": [], "passed": True})
+    assert main(["verify", "--out", str(blocker / "v.json")]) == 1
+    assert _one_write_error(capsys.readouterr().err, blocker / "v.json")
+    assert main(["homology", "--torus", "1", "--out", str(blocker / "h.json")]) == 1
+    assert _one_write_error(capsys.readouterr().err, blocker / "h.json")
+    chain = UfChain(1, LatticeSpace(2), INTEGERS, {((0, -1), (0, 1)): 1})
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(chain.to_json()))
+    assert main(["wrongway", "--pair", "2,1", "--in", str(infile),
+                 "--out", str(blocker / "o.json")]) == 1
+    assert _one_write_error(capsys.readouterr().err, blocker / "o.json")
+    # Missing parent directories are created, as for --out-dir.
+    nested = tmp_path / "new" / "dir" / "h.json"
+    assert main(["homology", "--torus", "1", "--out", str(nested)]) == 0
+    assert json.loads(nested.read_text())["torus"] == 1
+
+
+def test_cli_run_unwritable_report_keeps_the_other_exit_codes(tmp_path, monkeypatch, capfd):
+    # A directory where t3-to-s1's report should go fails that worker only.
+    monkeypatch.setenv("COARSE_CHAINS_THREADS", "2")
+    (tmp_path / "t3-to-s1.report.json").mkdir()
+    assert main(["run", "t2-to-s1", "t3-to-s1", "--out-dir", str(tmp_path)]) == 1
+    err = capfd.readouterr().err
+    assert f"error: cannot write {tmp_path / 't3-to-s1.report.json'}: " in err
+    assert "Traceback" not in err
+    assert json.loads((tmp_path / "t2-to-s1.report.json").read_text())["result"]["class"]
+
+
 @pytest.mark.parametrize("value", ["two", "-1", "1.5"])
 def test_cli_bad_thread_count_exits_1(tmp_path, monkeypatch, capsys, value):
     monkeypatch.setenv("COARSE_CHAINS_THREADS", value)
