@@ -1,7 +1,9 @@
 """Command line interface: scenario runner, verifier, one-shot operations.
 
-Exit codes: 0 success, 1 parse/configuration error or unwritable output
-path, 2 degenerate position, 3 spread/radius truncation.
+Exit codes: 0 success, 1 usage, parse or configuration error or unwritable
+output path, 2 degenerate position, 3 spread/radius truncation.  Commands
+raise; `_fail` alone writes the failure to stderr (one `error:` line, or a
+JSON payload for codes 2 and 3) and picks its exit code.
 COARSE_CHAINS_THREADS caps the number of worker processes used to run
 several scenarios at once (0 or unset: one per CPU); there are never more
 workers than scenarios.
@@ -20,7 +22,7 @@ from pathlib import Path
 from .chains import UfChain
 from .equivariant import TranslationAction, TruncationError, build_quotient_complex, snf_homology
 from .geometry import DegeneratePosition, FlatPair
-from .scenarios import ScenarioError, canonical_dumps, run_scenario
+from .scenarios import canonical_dumps, run_scenario
 from .verify import MUTATIONS, run_verify
 from .wrongway import WrongWayContext, wrong_way
 
@@ -30,51 +32,50 @@ EXIT_DEGENERATE = 2
 EXIT_TRUNCATION = 3
 
 
-def _degenerate_payload(exc: DegeneratePosition) -> dict:
-    payload: dict = {"error": "degenerate-position", "detail": str(exc)}
-    if exc.chain_tuple is not None:
-        payload["tuple"] = [list(p) for p in exc.chain_tuple]
-    if exc.simplex is not None:
-        payload["simplex"] = exc.simplex.to_json()
-    return payload
+def _fail(exc: ValueError | OSError) -> int:
+    """Report an error on stderr and return its exit code."""
+    if isinstance(exc, DegeneratePosition):
+        payload: dict = {"error": "degenerate-position", "detail": str(exc)}
+        if exc.chain_tuple is not None:
+            payload["tuple"] = [list(p) for p in exc.chain_tuple]
+        if exc.simplex is not None:
+            payload["simplex"] = exc.simplex.to_json()
+        print(canonical_dumps(payload), file=sys.stderr, end="")
+        return EXIT_DEGENERATE
+    if isinstance(exc, TruncationError):
+        print(canonical_dumps({"error": "truncation", "detail": str(exc)}),
+              file=sys.stderr, end="")
+        return EXIT_TRUNCATION
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_PARSE
 
 
-def _write_report(path: Path, text: str) -> int:
-    """Write a report, creating missing parent directories.
+def _guarded(command, *args) -> int:
+    """Run a command, turning a ValueError or OSError into its exit code
+    (module level, so that each scenario worker can run under it)."""
+    try:
+        return command(*args)
+    except (ValueError, OSError) as exc:
+        return _fail(exc)
 
-    An OSError becomes one error line and exit code 1, so a bad output path
-    never ends in a traceback or takes down the other scenario workers.
-    """
+
+def _write_report(path: Path, text: str) -> None:
+    """Write a report, creating missing parent directories."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    return EXIT_OK
+        raise OSError(f"cannot write {path}: {exc}") from None
 
 
 def _run_one_scenario(source: str, out_dir: str | None) -> int:
     started = time.perf_counter()
-    try:
-        report = run_scenario(source)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DegeneratePosition as exc:
-        print(canonical_dumps(_degenerate_payload(exc)), file=sys.stderr, end="")
-        return EXIT_DEGENERATE
-    except TruncationError as exc:
-        print(canonical_dumps({"error": "truncation", "detail": str(exc)}),
-              file=sys.stderr, end="")
-        return EXIT_TRUNCATION
+    report = run_scenario(source)
     name = report["scenario"]["name"]
     out_path = (Path(out_dir) if out_dir else Path.cwd()) / f"{name}.report.json"
-    if _write_report(out_path, canonical_dumps(report)):
-        return EXIT_PARSE
-    elapsed = time.perf_counter() - started
-    print(f"scenario {name}: report written to {out_path} ({elapsed:.2f}s)",
-          file=sys.stderr)
+    _write_report(out_path, canonical_dumps(report))
+    print(f"scenario {name}: report written to {out_path} "
+          f"({time.perf_counter() - started:.2f}s)", file=sys.stderr)
     return EXIT_OK
 
 
@@ -88,16 +89,13 @@ def _worker_cap() -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     sources = args.scenarios
-    try:
-        cap = _worker_cap()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    cap = _worker_cap()
     if len(sources) == 1:
         return _run_one_scenario(sources[0], args.out_dir)
     workers = min(cap or os.cpu_count() or 1, len(sources))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        codes = list(pool.map(_run_one_scenario, sources, [args.out_dir] * len(sources)))
+        codes = list(pool.map(_guarded, [_run_one_scenario] * len(sources), sources,
+                              [args.out_dir] * len(sources)))
     return max(codes)
 
 
@@ -106,8 +104,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_verify(mutation=args.mutate)
     for check in report["checks"]:
         print(f"{check['status'].upper():4s} {check['name']}: {check['detail']}")
-    if args.out and _write_report(Path(args.out), canonical_dumps(report)):
-        return EXIT_PARSE
+    if args.out:
+        _write_report(Path(args.out), canonical_dumps(report))
     print(f"verify finished in {time.perf_counter() - started:.1f}s", file=sys.stderr)
     return EXIT_OK if report["passed"] else 1
 
@@ -117,55 +115,48 @@ def _cmd_wrongway(args: argparse.Namespace) -> int:
         n_str, q_str = args.pair.split(",")
         pair = FlatPair(int(n_str), int(q_str), args.orientation)
     except ValueError as exc:
-        print(f"error: bad --pair value {args.pair!r}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError(f"bad --pair value {args.pair!r}: {exc}") from None
     try:
         chain = UfChain.from_json(json.loads(Path(args.infile).read_text()))
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        print(f"error: cannot read chain from {args.infile}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    ctx = WrongWayContext(pair, chain.group, perturb=args.perturb)
-    try:
-        image = wrong_way(chain, ctx)
-    except DegeneratePosition as exc:
-        print(canonical_dumps(_degenerate_payload(exc)), file=sys.stderr, end="")
-        return EXIT_DEGENERATE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    return _write_report(Path(args.outfile), canonical_dumps(image.to_json()))
+    except (OSError, ValueError, KeyError) as exc:
+        raise ValueError(f"cannot read chain from {args.infile}: {exc}") from None
+    image = wrong_way(chain, WrongWayContext(pair, chain.group, perturb=args.perturb))
+    _write_report(Path(args.outfile), canonical_dumps(image.to_json()))
+    return EXIT_OK
 
 
 def _cmd_homology(args: argparse.Namespace) -> int:
     dim = args.torus
     if dim < 1:
-        print("error: --torus must be >= 1", file=sys.stderr)
-        return EXIT_PARSE
-    max_degree = args.max_degree if args.max_degree is not None else dim + 1
-    try:
-        complex_ = build_quotient_complex(
-            TranslationAction.standard(dim), args.rmax, range(0, max_degree + 1),
-            include_degenerate=not args.no_degenerate)
-        report = snf_homology(complex_)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError("--torus must be >= 1")
+    complex_ = build_quotient_complex(
+        TranslationAction.standard(dim), args.rmax, range(dim + 2),
+        include_degenerate=not args.no_degenerate)
     payload = {
         "torus": dim,
         "r_max": args.rmax,
         "include_degenerate": not args.no_degenerate,
         "basis_sizes": {str(d): complex_.basis_size(d) for d in complex_.degrees},
-        "homology": report.to_json(),
+        "homology": snf_homology(complex_).to_json(),
     }
     text = canonical_dumps(payload)
     if args.out:
-        return _write_report(Path(args.out), text)
-    sys.stdout.write(text)
+        _write_report(Path(args.out), text)
+    else:
+        sys.stdout.write(text)
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: argparse's own 2 is the degenerate-position code."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coarse-chains",
         description="Exact wrong-way maps on lattice model geometries.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -195,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_h = sub.add_parser("homology", help="quotient-complex homology of a torus")
     p_h.add_argument("--torus", type=int, required=True, help="torus dimension")
     p_h.add_argument("--rmax", type=int, default=1, help="tuple spread bound")
-    p_h.add_argument("--max-degree", type=int, default=None,
-                     help="top complex degree (default: dimension + 1)")
     p_h.add_argument("--no-degenerate", action="store_true",
                      help="use the oriented basis (one sorted tuple per vertex set)")
     p_h.add_argument("--out", default=None, help="write the JSON report here")
@@ -206,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    return _guarded(args.func, args)
 
 
 if __name__ == "__main__":

@@ -481,7 +481,8 @@ def snf_homology(complex_: QuotientComplex) -> HomologyReport:
 
 
 def identify_class(cycle: EquivariantChain, complex_: QuotientComplex) -> list[int]:
-    """Coordinates of an integral cycle's homology class in the SNF basis.
+    """Coordinates of an integral cycle's homology class in the SNF basis
+    of an ordered-basis complex.
 
     Returns the free-part coordinates (torsion-free quotients here); the
     basis is deterministic, so signs are stable run to run.
@@ -493,30 +494,16 @@ def identify_class(cycle: EquivariantChain, complex_: QuotientComplex) -> list[i
     d = cycle.degree
     if d not in complex_.bases or d + 1 not in complex_.matrices:
         raise ValueError(f"complex does not cover degree {d} (need degree {d + 1} too)")
+    if not complex_.include_degenerate:
+        raise ValueError("class identification needs the ordered basis "
+                         "(include_degenerate=True), not the oriented one")
     if d >= 1 and not boundary(cycle).is_zero():
         raise ValueError("chain is not a cycle")
-    # On an oriented-basis complex, project ordered tuples to their sorted
-    # representative with the permutation sign; repeated vertices project
-    # to zero.  This is the classical chain map from ordered to oriented
-    # chains, so classes are preserved.
-    terms: dict[ChainTuple, int] = {}
-    for tup, coeff in cycle.terms.items():
-        if complex_.include_degenerate:
-            terms[tup] = terms.get(tup, 0) + coeff
-            continue
-        if len(set(tup)) != len(tup):
-            continue
-        order = sorted(range(len(tup)), key=lambda i: tup[i])
-        sign = _permutation_sign(order)
-        rep = complex_.action.normalize_tuple(tuple(tup[i] for i in order))
-        terms[rep] = terms.get(rep, 0) + sign * coeff
 
     idx = complex_.index[d]
     dim = complex_.basis_size(d)
     z = [0] * dim
-    for tup, coeff in terms.items():
-        if coeff == 0:
-            continue
+    for tup, coeff in cycle.terms.items():
         pos = idx.get(tup)
         if pos is None:
             raise TruncationError(

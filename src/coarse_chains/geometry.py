@@ -95,7 +95,7 @@ class AffineSimplex:
     @classmethod
     def from_json(cls, data: dict) -> "AffineSimplex":
         return cls(
-            int(data["ambient_dim"]),
+            json_int(data["ambient_dim"], "simplex ambient dimension"),
             tuple(tuple(_coord_from_json(c) for c in v) for v in data["vertices"]),
         )
 

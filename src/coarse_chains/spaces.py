@@ -91,12 +91,6 @@ class Window:
         for p in itertools.product(*ranges):
             yield tuple(p)
 
-    def size(self) -> int:
-        n = 1
-        for a, b in zip(self.lo, self.hi):
-            n *= b - a + 1
-        return n
-
     def to_json(self) -> dict:
         return {"lo": list(self.lo), "hi": list(self.hi)}
 

@@ -621,6 +621,12 @@ def test_identify_kuhn_class_is_generator():
     assert identify_class(kuhn_fundamental_cycle(2), qc2) == cls
 
 
+def test_identify_refuses_oriented_basis():
+    qc = build_quotient_complex(Z2_ACT, 1, range(4), include_degenerate=False)
+    with pytest.raises(ValueError, match="ordered basis"):
+        identify_class(kuhn_fundamental_cycle(2), qc)
+
+
 def test_identify_boundary_is_zero():
     qc = build_quotient_complex(Z2_ACT, 1, range(4))
     x = EquivariantChain(2, Z2_ACT, INTEGERS, {((0, 0), (1, 0), (1, 1)): 3})

@@ -79,6 +79,14 @@ def test_simplex_json_round_trip():
     assert AffineSimplex.from_json(s.to_json()) == s
 
 
+@pytest.mark.parametrize("dim", [2.7, "2", True, None])
+def test_simplex_json_refuses_non_integer_dimension(dim):
+    data = AffineSimplex(2, ((0, 0), (1, 0), (0, 1))).to_json()
+    data["ambient_dim"] = dim
+    with pytest.raises(ValueError, match="simplex ambient dimension must be an integer"):
+        AffineSimplex.from_json(data)
+
+
 # -- orientation -----------------------------------------------------------
 
 def test_orientation_sign_examples():

@@ -258,6 +258,42 @@ def test_console_script_end_to_end(tmp_path):
     assert report["result"]["class"] in ([1], [-1])
 
 
+def test_console_script_usage_error_exit_code():
+    result = subprocess.run(
+        [sys.executable, "-m", "coarse_chains.cli", "homology", "--torus", "abc"],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1, result.stderr
+    assert "error: argument --torus: invalid int value: 'abc'" in result.stderr
+
+
+USAGE_ERRORS = {
+    "non-integer torus": ["homology", "--torus", "abc"],
+    "missing torus": ["homology"],
+    "unknown mutation": ["verify", "--mutate", "nope"],
+    "unknown subcommand": ["nope"],
+    "removed max-degree": ["homology", "--torus", "1", "--max-degree", "0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_cli_usage_errors_exit_1(capsys, name):
+    with pytest.raises(SystemExit) as exc_info:
+        main(USAGE_ERRORS[name])
+    assert exc_info.value.code == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and lines[0].startswith("usage: coarse-chains")
+    assert [line for line in lines if ": error: " in line] == lines[-1:]
+    assert lines[-1].startswith("coarse-chains")
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["homology", "--help"])
+    assert exc_info.value.code == 0
+    assert "--max-degree" not in capsys.readouterr().out
+
+
 # -- input hardening --------------------------------------------------------------
 
 def _sign_identity_scenario(tmp_path, terms, count=50):
