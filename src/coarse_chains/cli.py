@@ -22,7 +22,7 @@ from pathlib import Path
 from .chains import UfChain
 from .equivariant import TranslationAction, TruncationError, build_quotient_complex, snf_homology
 from .geometry import DegeneratePosition, FlatPair
-from .scenarios import canonical_dumps, run_scenario
+from .scenarios import ScenarioRun, canonical_dumps, load_scenario
 from .verify import MUTATIONS, run_verify
 from .wrongway import WrongWayContext, wrong_way
 
@@ -68,9 +68,9 @@ def _write_report(path: Path, text: str) -> None:
         raise OSError(f"cannot write {path}: {exc}") from None
 
 
-def _run_one_scenario(source: str, out_dir: str | None) -> int:
+def _run_one_scenario(config: dict, out_dir: str | None) -> int:
     started = time.perf_counter()
-    report = run_scenario(source)
+    report = ScenarioRun(config).run()
     name = report["scenario"]["name"]
     out_path = (Path(out_dir) if out_dir else Path.cwd()) / f"{name}.report.json"
     _write_report(out_path, canonical_dumps(report))
@@ -88,14 +88,21 @@ def _worker_cap() -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    sources = args.scenarios
     cap = _worker_cap()
-    if len(sources) == 1:
-        return _run_one_scenario(sources[0], args.out_dir)
-    workers = min(cap or os.cpu_count() or 1, len(sources))
+    # Every scenario is loaded before any runs: a report is named after its
+    # scenario, so a repeated name would have one report overwrite another.
+    configs = [load_scenario(source) for source in args.scenarios]
+    names = [config["name"] for config in configs]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"scenario name {name!r} is given twice; "
+                             f"each scenario writes the report named after it")
+    if len(configs) == 1:
+        return _run_one_scenario(configs[0], args.out_dir)
+    workers = min(cap or os.cpu_count() or 1, len(configs))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        codes = list(pool.map(_guarded, [_run_one_scenario] * len(sources), sources,
-                              [args.out_dir] * len(sources)))
+        codes = list(pool.map(_guarded, [_run_one_scenario] * len(configs), configs,
+                              [args.out_dir] * len(configs)))
     return max(codes)
 
 

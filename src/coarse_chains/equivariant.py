@@ -26,7 +26,7 @@ from .intlinalg import (
     det,
     kernel_basis,
     mat_vec,
-    rank,
+    pivot_columns,
     snf_with_transforms,
     solve_int,  # noqa: F401 - still importable from here; perfbench's self-tests watch it
 )
@@ -57,25 +57,16 @@ class TranslationAction:
     _coord_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.space.dim
         gens = tuple(self.space.check_point(tuple(g)) for g in self.generators)
         object.__setattr__(self, "generators", gens)
-        r = len(gens)
-        # Pick the first r coordinate rows on which the generators are
-        # independent; on them the lattice coordinates of v are
-        # adj(B) v / det(B), kept as an integer matrix and a positive
-        # denominator with the sign of det(B) folded into the matrix.
-        pivot_rows: list[int] = []
-        basis: list[list[int]] = []
-        for row_idx in range(n):
-            if len(pivot_rows) == r:
-                break
-            candidate = basis + [[g[row_idx] for g in gens]]
-            if rank(candidate) == len(candidate):
-                basis = candidate
-                pivot_rows.append(row_idx)
-        if len(pivot_rows) != r:
+        # The first coordinate rows on which the generators are independent
+        # are the pivot columns of the generator rows; on them the lattice
+        # coordinates of v are adj(B) v / det(B), kept as an integer matrix
+        # and a positive denominator with the sign of det(B) folded in.
+        pivot_rows = pivot_columns(gens)
+        if len(pivot_rows) != len(gens):
             raise ValueError("generators are linearly dependent")
+        basis = [[g[i] for g in gens] for i in pivot_rows]
         den = det(basis)
         sign = 1 if den > 0 else -1
         object.__setattr__(self, "_pivot_rows", tuple(pivot_rows))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coeffs import CoefficientGroup, Element, INTEGERS, RATIONALS
-from .intlinalg import adjugate, det, rank
+from .intlinalg import adjugate, det, mat_vec, pivot_columns
 from .spaces import json_int
 
 Coord = int | Fraction
@@ -190,50 +190,39 @@ def _crossing_number(normals: list[Vertex], perturb: bool) -> int:
     """
     q = len(normals) - 1
     v0 = normals[0]
-    # Columns of D are the edge vectors v_i - v_0.
+    # Columns of D are the edge vectors v_i - v_0; the origin is v_0 + D lambda.
     rows = [[normals[i + 1][r] - v0[r] for i in range(q)] for r in range(q)]
+    rhs = [-c for c in v0]
     d = det(rows)
 
     if d == 0:
         if perturb:
             return 0
-        rhs = [-c for c in v0]
-        aug = [rows[r] + [rhs[r]] for r in range(q)]
-        if rank(aug) == rank(rows):
+        # The origin is in the affine hull iff rhs lies in the span of D.
+        if q not in pivot_columns([row + [x] for row, x in zip(rows, rhs)]):
             raise DegeneratePosition(
                 "projected simplex is degenerate with the origin in its affine hull")
         return 0
 
-    # Cramer numerators of the barycentric coordinates of the origin:
-    # lambda_i = num_i / det for i >= 1 and lambda_0 = (det - sum num_i) / det.
-    rhs = [-c for c in v0]
-    nums = []
-    for i in range(q):
-        col_backup = [rows[r][i] for r in range(q)]
-        for r in range(q):
-            rows[r][i] = rhs[r]
-        nums.append(det(rows))
-        for r in range(q):
-            rows[r][i] = col_backup[r]
-    num0 = d - sum(nums)
-
-    sdet = _sign(d)
-    if not perturb:
-        signs = [sdet * _sign(n) for n in (num0, *nums)]
-        if any(s < 0 for s in signs):
-            return 0
-        if any(s == 0 for s in signs):
-            raise DegeneratePosition("origin lies on the boundary of the projected simplex")
-        return sdet
-
-    # Perturbed origin o = (eps, eps^2, ...): each numerator becomes
-    # num_i + sum_j adj(D)[i][j] * eps^j, compared lexicographically.
+    # Barycentric coordinates of the origin times det: adj(D) rhs for
+    # lambda_1..lambda_q, and det minus their sum for lambda_0.  Moving the
+    # origin to (eps, ..., eps^q) adds adj(D) (eps, ..., eps^q), so a perturbed
+    # sign is the lexicographic sign of (numerator, its row of adj(D)), the
+    # row of lambda_0 being minus the column sums.  adj(D) is invertible, so
+    # no perturbed sign is zero; the plain mode reads the numerators alone.
     adj = adjugate(rows)
-    grad0 = [-sum(adj[i][j] for i in range(q)) for j in range(q)]
-    seqs = [[num0, *grad0]] + [[nums[i], *adj[i]] for i in range(q)]
-    for seq in seqs:
-        if sdet * _lex_sign(seq) < 0:
+    nums = mat_vec(adj, rhs)
+    leads = [d - sum(nums), *nums]
+    tails = [[-sum(col) for col in zip(*adj)], *adj] if perturb else [()] * (q + 1)
+    sdet = _sign(d)
+    tie = False
+    for lead, tail in zip(leads, tails):
+        s = sdet * _lex_sign((lead, *tail))
+        if s < 0:
             return 0
+        tie = tie or s == 0
+    if tie:
+        raise DegeneratePosition("origin lies on the boundary of the projected simplex")
     return sdet
 
 

@@ -1,10 +1,12 @@
 """Exact linear algebra, the package's one elimination module.
 
-Determinants and adjugates are fraction-free: closed forms up to size 3
-and Bareiss elimination above, with rational rows scaled to integers first.
-Ranks, kernels and integral solving all come from the Smith normal form.
-Dense routines carry the unimodular transforms and are used where the
-coordinates matter (class identification).  Solving is "factor once, solve
+Small exact questions share one fraction-free echelon (Bareiss row
+reduction, rational rows scaled to integers first): determinants above size
+3 (closed forms below), ranks and pivot columns.  Adjugates come from
+cofactors, with closed forms up to size 2.  Kernels and integral solving
+come from the Smith normal form.  Dense routines carry the unimodular
+transforms and are used where the coordinates matter (class
+identification).  Solving is "factor once, solve
 many": SmithSolver keeps one Smith form of a matrix and answers every
 right-hand side against it by unimodular back-substitution, so a batch of
 solves costs one Smith form, not one per column.  SparseIntMatrix holds the
@@ -30,32 +32,8 @@ def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        row = a[i]
-        acc = out[i]
-        for t in range(k):
-            x = row[t]
-            if x:
-                brow = b[t]
-                for j in range(m):
-                    if brow[j]:
-                        acc[j] += x * brow[j]
-    return out
-
-
 def mat_vec(a: Matrix, x: Sequence[int]) -> list[int]:
     return [sum(r * v for r, v in zip(row, x) if v) for row in a]
-
-
-def transpose(a: Matrix) -> Matrix:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
 
 
 def snf_with_transforms(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -185,43 +163,66 @@ def det(a: RationalMatrix) -> int | Fraction:
     if n == 3:
         (p, q, r), (s, t, u), (v, w, x) = a
         return p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
-    # Bareiss: every division below is exact, so entries stay integers.
     m, scale = _integer_rows(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+    pivots, sign, last = _echelon(m)
+    if len(pivots) < n:
+        return 0
+    return sign * last if scale == 1 else Fraction(sign * last, scale)
+
+
+def _echelon(m: Matrix) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss) row echelon form of an integer matrix, in place.
+
+    A column with no nonzero entry left below the pivot rows is skipped.
+    Returns the pivot columns, the sign of the row swaps and the last pivot;
+    every division is exact, and the last pivot of a square matrix of full
+    rank is its determinant up to that sign.
+    """
+    pivots: list[int] = []
+    sign = prev = 1
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
+        k = len(pivots)
+        if k == len(m):
+            break
+        if m[k][c] == 0:
+            swap = next((r for r in range(k + 1, len(m)) if m[r][c]), None)
             if swap is None:
-                return 0
+                continue
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         pivot_row = m[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            x = row[k]
-            for j in range(k + 1, n):
+        pivot = pivot_row[c]
+        for row in m[k + 1:]:
+            x = row[c]
+            for j in range(c + 1, ncols):
                 row[j] = (row[j] * pivot - x * pivot_row[j]) // prev
         prev = pivot
-    d = sign * m[n - 1][n - 1]
-    return d if scale == 1 else Fraction(d, scale)
+        pivots.append(c)
+    return pivots, sign, prev
+
+
+def pivot_columns(a: RationalMatrix) -> list[int]:
+    """Indices of the leftmost maximal set of linearly independent columns.
+
+    Their number is the rank; rows of fractions are scaled to integers first.
+    """
+    return _echelon(_integer_rows(a)[0])[0]
 
 
 def adjugate(a: RationalMatrix) -> RationalMatrix:
     """adj(A), with A * adj(A) = det(A) * I, from cofactors."""
     n = len(a)
-    adj: RationalMatrix = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:j] + row[j + 1:] for r, row in enumerate(a) if r != i]
-            adj[j][i] = -det(minor) if (i + j) % 2 else det(minor)
+    if n == 1:
+        return [[1]]
+    if n == 2:
+        (p, q), (r, s) = a
+        return [[s, -q], [-r, p]]
+    adj: RationalMatrix = []
+    for j in range(n):
+        rest = [row[:j] + row[j + 1:] for row in a]
+        adj.append([(-1) ** (i + j) * det(rest[:i] + rest[i + 1:]) for i in range(n)])
     return adj
-
-
-def rank(a: RationalMatrix) -> int:
-    """Rank over the rationals; rows of fractions are scaled to integers."""
-    return len(invariant_factors(_integer_rows(a)[0]))
 
 
 def kernel_basis(a: Matrix) -> list[list[int]]:
@@ -304,6 +305,8 @@ class SparseIntMatrix:
         self.ncols = ncols
         self.cols: list[dict[int, int]] = [{} for _ in range(ncols)]
         for r, c, v in entries:
+            if not (0 <= r < nrows and 0 <= c < ncols):
+                raise ValueError(f"entry {(r, c, v)} lies outside a {nrows} x {ncols} matrix")
             col = self.cols[c]
             total = col.get(r, 0) + v
             if total:

@@ -44,22 +44,21 @@ def random_chain(rng: random.Random, space: LatticeSpace, degree: int,
 
 
 def general_position_chain(rng: random.Random, pair: FlatPair, degree: int,
-                           ctx: WrongWayContext) -> UfChain:
+                           ctx: WrongWayContext) -> tuple[UfChain, UfChain]:
     """Rejection-sample a chain on which the wrong-way identities evaluate.
 
     Degree q + 1 and up must pass the sign identity, degree q the cap.
+    Returns the chain with that evaluation: its sign-identity residual, or
+    at degree q its cap with the Thom class.
     """
     space = LatticeSpace(pair.ambient_dim)
+    evaluate = sign_identity_residual if degree >= pair.codim + 1 else cap_thom
     for _ in range(GENERAL_POSITION_ATTEMPTS):
         c = random_chain(rng, space, degree, ctx.group)
         try:
-            if degree >= pair.codim + 1:
-                sign_identity_residual(c, ctx)
-            else:
-                cap_thom(c, ctx)
+            return c, evaluate(c, ctx)
         except DegeneratePosition:
             continue
-        return c
     raise ValueError(
         f"no general-position degree-{degree} chain for the pair "
         f"(n={pair.ambient_dim}, q={pair.codim}) in {GENERAL_POSITION_ATTEMPTS} attempts")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 Point = tuple[int, ...]
 
@@ -84,12 +83,6 @@ class Window:
 
     def contains(self, p: Point) -> bool:
         return all(a <= c <= b for a, c, b in zip(self.lo, p, self.hi))
-
-    def points(self) -> Iterator[Point]:
-        """Lexicographic enumeration of the window."""
-        ranges = [range(a, b + 1) for a, b in zip(self.lo, self.hi)]
-        for p in itertools.product(*ranges):
-            yield tuple(p)
 
     def to_json(self) -> dict:
         return {"lo": list(self.lo), "hi": list(self.hi)}

@@ -1,8 +1,9 @@
 """Independent oracles used to freeze expected values.
 
 These deliberately avoid the library's evaluation path: crossing counts
-come from grid walks and winding numbers, ranks from Fraction row
-reduction, so agreement is a genuine cross-check.
+come from grid walks, winding numbers and Fraction barycentric coordinates,
+ranks and pivots from Fraction row reduction, so agreement is a genuine
+cross-check.
 """
 
 from __future__ import annotations
@@ -63,6 +64,17 @@ def thom_oracle(simplex: AffineSimplex, pair: FlatPair) -> int:
     return pair.normal_orientation * value
 
 
+def mat_mul(a, b):
+    """Plain matrix product of lists of rows."""
+    if not a or not b:
+        return []
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
 def frac_rank_oracle(matrix: list[list[int]]) -> int:
     """Row-echelon rank over the rationals, independent of the SNF code."""
     m = [[Fraction(x) for x in row] for row in matrix]
@@ -85,6 +97,16 @@ def frac_rank_oracle(matrix: list[list[int]]) -> int:
                 m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def pivot_columns_oracle(matrix) -> list[int]:
+    """Greedy leftmost independent columns: keep a column iff it raises the rank."""
+    picked: list[int] = []
+    for j in range(len(matrix[0]) if matrix else 0):
+        cols = picked + [j]
+        if frac_rank_oracle([[row[c] for c in cols] for row in matrix]) == len(cols):
+            picked = cols
+    return picked
 
 
 def det_oracle(matrix: list[list[int]]) -> Fraction:
@@ -150,3 +172,41 @@ def lattice_coords_oracle(generators, v) -> tuple[Fraction, ...]:
         det_oracle([row[:j] + [x] + row[j + 1:] for row, x in zip(rows, picked)]) / den
         for j in range(len(generators))
     )
+
+
+# Perturbed origin (eps, eps^2, ..., eps^q).  With q <= 4 and coordinates in
+# [-2, 2], each barycentric numerator is a polynomial in eps whose integer
+# coefficients (minors of the edge matrix) stay below 10^5 in absolute
+# value, so at this eps its sign is that of its first nonzero coefficient.
+EPSILON = Fraction(1, 10**6)
+
+
+def crossing_number_oracle(normals, perturb: bool, eps: Fraction = EPSILON) -> int | None:
+    """Signed crossing of the simplex on `normals` (q + 1 points of Q^q) at the
+    origin, or (with perturb) at (eps, ..., eps^q), from Fraction barycentric
+    coordinates by Gauss-Jordan.  None when that point lies on the simplex's
+    boundary, or in the affine hull of a flat simplex: positions the library
+    must refuse.
+    """
+    q = len(normals) - 1
+    point = [eps ** (j + 1) if perturb else Fraction(0) for j in range(q)]
+    v0 = [Fraction(x) for x in normals[0]]
+    edges = [[Fraction(normals[i + 1][r]) - v0[r] for i in range(q)] for r in range(q)]
+    aug = [row + [p - x] for row, p, x in zip(edges, point, v0)]
+    d = det_oracle(edges)
+    if d == 0:
+        return None if frac_rank_oracle(aug) == frac_rank_oracle(edges) else 0
+    for col in range(q):
+        pivot = next(r for r in range(col, q) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(q):
+            if r != col and aug[r][col] != 0:
+                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
+    lam = [row[q] for row in aug]
+    coords = [1 - sum(lam), *lam]
+    if any(x < 0 for x in coords):
+        return 0
+    if any(x == 0 for x in coords):
+        return None
+    return 1 if d > 0 else -1

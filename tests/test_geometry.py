@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from coarse_chains import (
 )
 
 from conftest import PAIR_SET
-from oracles import thom_oracle
+from oracles import crossing_number_oracle, thom_oracle
 
 
 # -- fill ------------------------------------------------------------------
@@ -311,3 +312,25 @@ def test_perturbed_segment_touching_flat():
     assert thom_crossing(fill([(0, 0), (0, 1)]), pair, perturb=True) == 1
     assert thom_crossing(fill([(0, 0), (0, -1)]), pair, perturb=True) == 0
     assert thom_crossing(fill([(0, 1), (0, 0)]), pair, perturb=True) == -1
+
+
+@pytest.mark.parametrize("perturb", [False, True], ids=["plain", "perturbed"])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_thom_matches_barycentric_oracle(q, perturb):
+    # Small coordinates make ties, flat simplices and boundary hits common;
+    # value and DegeneratePosition classification must both agree.
+    rng = random.Random(700 + 10 * q + perturb)
+    seen = {"degenerate": 0, "zero": 0, "nonzero": 0}
+    for _ in range(400):
+        n = q + rng.randint(0, 1)
+        pair = FlatPair(n, q, rng.choice([1, -1]))
+        verts = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(q + 1)]
+        want = crossing_number_oracle([pair.normal_part(v) for v in verts], perturb)
+        try:
+            got = thom_crossing(fill(verts), pair, perturb)
+        except DegeneratePosition:
+            got = None
+        assert got == (None if want is None else pair.normal_orientation * want), verts
+        seen["degenerate" if want is None else "nonzero" if want else "zero"] += 1
+    assert seen["zero"] and seen["nonzero"], seen
+    assert bool(seen["degenerate"]) != perturb, seen

@@ -15,15 +15,20 @@ from coarse_chains.intlinalg import (
     identity,
     invariant_factors,
     kernel_basis,
-    mat_mul,
     mat_vec,
-    rank,
+    pivot_columns,
     snf_with_transforms,
     solve_int,
-    transpose,
 )
 
-from oracles import det_oracle, frac_rank_oracle, int_solvable_oracle
+from oracles import (
+    det_oracle,
+    frac_rank_oracle,
+    int_solvable_oracle,
+    mat_mul,
+    pivot_columns_oracle,
+    transpose,
+)
 
 
 def _random_matrix(rng, m, n, lo=-6, hi=6, density=1.0):
@@ -59,9 +64,37 @@ def test_rank_against_fraction_oracle():
     for _ in range(150):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
         a = _random_matrix(rng, m, n, density=rng.choice([0.4, 0.8, 1.0]))
-        assert rank(a) == frac_rank_oracle(a)
+        assert len(pivot_columns(a)) == frac_rank_oracle(a)
         scaled = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in a]
-        assert rank(scaled) == frac_rank_oracle(scaled)
+        assert len(pivot_columns(scaled)) == frac_rank_oracle(scaled)
+
+
+def test_pivot_columns_against_greedy_oracle():
+    # Zero rows, repeated columns and low-rank products make skipped pivot
+    # columns common; the first shapes are empty, wide and tall.
+    rng = random.Random(21)
+    shapes = [(0, 0), (1, 0), (3, 3), (2, 7), (7, 2), (5, 5)]
+    for trial in range(300):
+        m, n = shapes[trial] if trial < len(shapes) else (rng.randint(1, 7), rng.randint(1, 7))
+        if trial % 5 == 4:
+            r = rng.randint(1, min(m, n))
+            a = mat_mul(_random_matrix(rng, m, r, -3, 3), _random_matrix(rng, r, n, -3, 3))
+        else:
+            a = _random_matrix(rng, m, n, -3, 3, density=rng.choice([0.0, 0.3, 0.7, 1.0]))
+        if m > 1 and trial % 3 == 0:
+            a[rng.randrange(m)] = [0] * n
+        if n > 1 and trial % 4 == 0:
+            j = rng.randrange(1, n)
+            for row in a:
+                row[j] = 2 * row[j - 1]
+        if trial % 2:
+            a = [[Fraction(x, rng.randint(1, 5)) for x in row] for row in a]
+        before = [row[:] for row in a]
+        assert pivot_columns(a) == pivot_columns_oracle(a)
+        assert a == before
+    assert pivot_columns([[0, 0, 0], [0, 0, 0]]) == []
+    assert pivot_columns([[0, 2, 4, 1], [0, 1, 2, 1]]) == [1, 3]
+    assert pivot_columns([[Fraction(1, 2), Fraction(1, 3)], [1, Fraction(2, 3)]]) == [0]
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
@@ -89,7 +122,7 @@ def test_column_lattice_basis_spans_the_column_lattice():
         m, n = rng.randint(1, 4), rng.randint(1, 5)
         a = _random_matrix(rng, m, n, lo=-4, hi=4, density=rng.choice([0.5, 1.0]))
         basis = column_lattice_basis(a)
-        assert len(basis) == rank(a)
+        assert len(basis) == len(pivot_columns(a))
         if basis:
             # Same lattice: each column of A is an integral combination of
             # the basis, and each basis vector one of the columns of A.
@@ -118,7 +151,7 @@ def test_kernel_basis_spans_kernel():
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         a = _random_matrix(rng, m, n)
         basis = kernel_basis(a)
-        assert len(basis) == n - rank(a)
+        assert len(basis) == n - len(pivot_columns(a))
         for col in basis:
             assert mat_vec(a, col) == [0] * m
         if basis:
@@ -329,6 +362,17 @@ def test_sparse_entries_summing_to_zero_leave_no_key():
     a = _sparse([[1, 1]])
     b = _sparse([[1], [-1]])
     assert a.multiply(b).cols == [{}] and a.multiply(b).is_zero()
+
+
+def test_sparse_matrix_refuses_entries_outside_its_shape():
+    with pytest.raises(ValueError, match=r"entry \(0, -1, 1\)"):
+        SparseIntMatrix(2, 2, [(0, -1, 1), (5, 0, 2)])
+    with pytest.raises(ValueError, match=r"entry \(5, 0, 2\)"):
+        SparseIntMatrix(2, 2, [(0, 1, 1), (5, 0, 2)])
+    with pytest.raises(ValueError, match=r"entry \(-1, 1, 3\)"):
+        SparseIntMatrix(2, 2, [(-1, 1, 3)])
+    with pytest.raises(ValueError, match=r"entry \(0, 2, 1\)"):
+        SparseIntMatrix(2, 2, [(0, 2, 1)])
 
 
 def test_sparse_transpose_matches_dense_transpose():

@@ -109,6 +109,19 @@ def test_cli_run_parallel_scenarios(tmp_path, monkeypatch):
     assert (tmp_path / "t3-to-s1.report.json").exists()
 
 
+def test_cli_run_refuses_repeated_scenario_names(tmp_path, capsys):
+    # The same bundled name twice, and a file that reuses a bundled name.
+    copy = tmp_path / "copy.json"
+    copy.write_text(json.dumps(load_scenario("t2-to-s1")))
+    for scenarios in (["t2-to-s1", "t2-to-s1"], ["t3-to-s1", "t2-to-s1", str(copy)]):
+        out_dir = tmp_path / "out"
+        assert main(["run", *scenarios, "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: scenario name 't2-to-s1' is given twice; " \
+                      "each scenario writes the report named after it\n"
+        assert not out_dir.exists()
+
+
 def test_cli_run_malformed_json_exits_1(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
