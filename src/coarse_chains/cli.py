@@ -1,7 +1,8 @@
 """Command line interface: scenario runner, verifier, one-shot operations.
 
 Exit codes: 0 success, 1 usage, parse or configuration error or unwritable
-output path, 2 degenerate position, 3 spread/radius truncation.  Commands
+output path, 2 degenerate position, 3 spread/radius truncation, 4 a verify
+battery with a failed check.  Commands
 raise; `_fail` alone writes the failure to stderr (one `error:` line, or a
 JSON payload for codes 2 and 3) and picks its exit code.
 COARSE_CHAINS_THREADS caps the number of worker processes used to run
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_DEGENERATE = 2
 EXIT_TRUNCATION = 3
+EXIT_CHECKS_FAILED = 4
 
 
 def _fail(exc: ValueError | OSError) -> int:
@@ -114,7 +116,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.out:
         _write_report(Path(args.out), canonical_dumps(report))
     print(f"verify finished in {time.perf_counter() - started:.1f}s", file=sys.stderr)
-    return EXIT_OK if report["passed"] else 1
+    return EXIT_OK if report["passed"] else EXIT_CHECKS_FAILED
 
 
 def _cmd_wrongway(args: argparse.Namespace) -> int:

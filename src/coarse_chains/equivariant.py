@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .chains import ChainTuple, UfChain, _accumulate, _Chain, boundary
@@ -101,21 +102,20 @@ class TranslationAction:
         den = self._coord_den
         return tuple(x // den for x in self._scaled_coords(p))
 
-    def translate_point(self, p: Point, offset: Vector) -> Point:
-        return tuple(a + b for a, b in zip(p, offset))
-
     def translate_tuple(self, tup: ChainTuple, offset: Vector) -> ChainTuple:
-        return tuple(self.translate_point(p, offset) for p in tup)
+        return tuple([tuple(map(add, p, offset)) for p in tup])
+
+    def canonical_offset(self, p: Point) -> Vector | None:
+        """The lattice translation taking p into the fundamental
+        parallelepiped, or None when p already lies in it."""
+        m = self.canonical_shift(p)
+        return tuple(-c for c in self.vector_from_coeffs(m)) if any(m) else None
 
     def normalize_tuple(self, tup: ChainTuple) -> ChainTuple:
-        m = self.canonical_shift(tup[0])
-        if not any(m):
+        offset = self.canonical_offset(tup[0])
+        if offset is None:
             return tuple(tuple(p) for p in tup)
-        offset = tuple(-c for c in self.vector_from_coeffs(m))
         return self.translate_tuple(tup, offset)
-
-    def is_canonical(self, tup: ChainTuple) -> bool:
-        return not any(self.canonical_shift(tup[0]))
 
     def fundamental_points(self) -> list[Point]:
         """Lattice points inside the half-open fundamental parallelepiped."""
@@ -351,9 +351,22 @@ class QuotientComplex:
         return len(self.bases.get(degree, []))
 
     def composition_is_zero(self) -> bool:
+        """Whether every d_d d_{d+1} vanishes, read one product column at a
+        time and stopping at the first nonzero one."""
         for d in self.degrees:
-            if d in self.matrices and d + 1 in self.matrices:
-                if not self.matrices[d].multiply(self.matrices[d + 1]).is_zero():
+            if d not in self.matrices or d + 1 not in self.matrices:
+                continue
+            lower, upper = self.matrices[d], self.matrices[d + 1]
+            if lower.ncols != upper.nrows:
+                # The transpose-boundary verify mutation reports this message.
+                raise ValueError("shape mismatch in sparse multiply")
+            for upper_col in upper.cols:
+                # Column c of d_d d_{d+1} sums d_{d+1}[k, c] times column k of d_d.
+                product: dict[int, int] = {}
+                for k, w in upper_col.items():
+                    for r, v in lower.cols[k].items():
+                        product[r] = product.get(r, 0) + w * v
+                if any(product.values()):
                     return False
         return True
 
@@ -369,7 +382,12 @@ def build_quotient_complex(
     The default basis in degree d consists of the orbit representatives of
     all ordered (d+1)-tuples whose pairwise sup-distance is at most r_max,
     repeated vertices included; faces of basis tuples normalize back into
-    the lower basis, so the boundary matrices close up exactly.
+    the lower basis, so the boundary matrices close up exactly.  Face 0 is
+    the only face that needs renormalizing: a face dropping vertex j >= 1
+    keeps the first vertex, so it is already canonical and is looked up as
+    sliced.  Face 0 starts at the second vertex and is moved back by the
+    lattice translation that makes that vertex canonical, which depends on
+    that one point alone and is computed once per point.
 
     include_degenerate=False switches to the oriented basis: one sorted
     injective tuple per vertex set.  (Merely deleting repeated-vertex
@@ -408,17 +426,21 @@ def build_quotient_complex(
 
     index = {d: {t: i for i, t in enumerate(basis)} for d, basis in bases.items()}
     matrices: dict[int, SparseIntMatrix] = {}
+    offsets: dict[Point, Vector | None] = {}  # second vertex -> canonical_offset
     for d in degrees:
         if d - 1 not in bases or d == 0:
             continue
         entries: list[tuple[int, int, int]] = []
         lower = index[d - 1]
         for col, tup in enumerate(bases[d]):
-            for j in range(len(tup)):
-                face = action.normalize_tuple(tup[:j] + tup[j + 1:])
-                row = lower.get(face)
-                assert row is not None, "face escaped the quotient basis"
-                entries.append((row, col, -1 if j % 2 else 1))
+            head = tup[1]
+            if head not in offsets:
+                offsets[head] = action.canonical_offset(head)
+            offset = offsets[head]
+            face = tup[1:] if offset is None else action.translate_tuple(tup[1:], offset)
+            entries.append((lower[face], col, 1))
+            for j in range(1, len(tup)):
+                entries.append((lower[tup[:j] + tup[j + 1:]], col, -1 if j % 2 else 1))
         matrices[d] = SparseIntMatrix(len(bases[d - 1]), len(bases[d]), entries)
 
     return QuotientComplex(action, r_max, degrees, bases, index, matrices,

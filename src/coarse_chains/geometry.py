@@ -68,24 +68,6 @@ class AffineSimplex:
         """Signed face list [(+1, face_0), (-1, face_1), ...]."""
         return [((-1) ** j, self.face(j)) for j in range(self.dim + 1)]
 
-    def diameter(self) -> Fraction:
-        best = Fraction(0)
-        vs = self.vertices
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                d = max(abs(Fraction(a) - Fraction(b)) for a, b in zip(vs[i], vs[j]))
-                if d > best:
-                    best = d
-        return best
-
-    def barycentric_point(self, weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(weights) != len(self.vertices) or sum(weights) != 1:
-            raise ValueError("weights must match the vertex count and sum to 1")
-        return tuple(
-            sum(w * Fraction(v[i]) for w, v in zip(weights, self.vertices))
-            for i in range(self.ambient_dim)
-        )
-
     def to_json(self) -> dict:
         return {
             "ambient_dim": self.ambient_dim,

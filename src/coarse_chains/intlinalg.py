@@ -3,7 +3,7 @@
 Small exact questions share one fraction-free echelon (Bareiss row
 reduction, rational rows scaled to integers first): determinants above size
 3 (closed forms below), ranks and pivot columns.  Adjugates come from
-cofactors, with closed forms up to size 2.  Kernels and integral solving
+cofactors, with closed forms up to size 3.  Kernels and integral solving
 come from the Smith normal form.  Dense routines carry the unimodular
 transforms and are used where the coordinates matter (class
 identification).  Solving is "factor once, solve
@@ -218,6 +218,11 @@ def adjugate(a: RationalMatrix) -> RationalMatrix:
     if n == 2:
         (p, q), (r, s) = a
         return [[s, -q], [-r, p]]
+    if n == 3:
+        (p, q, r), (s, t, u), (v, w, x) = a
+        return [[t * x - u * w, r * w - q * x, q * u - r * t],
+                [u * v - s * x, p * x - r * v, r * s - p * u],
+                [s * w - t * v, q * v - p * w, p * t - q * s]]
     adj: RationalMatrix = []
     for j in range(n):
         rest = [row[:j] + row[j + 1:] for row in a]
@@ -328,14 +333,6 @@ class SparseIntMatrix:
         return SparseIntMatrix(self.ncols, self.nrows,
                                ((c, r, v) for c, col in enumerate(self.cols)
                                 for r, v in col.items()))
-
-    def multiply(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in sparse multiply")
-        # Column c of A B is the sum over k of B[k, c] times column k of A.
-        return SparseIntMatrix(self.nrows, other.ncols,
-                               ((r, c, w * v) for c, ocol in enumerate(other.cols)
-                                for k, w in ocol.items() for r, v in self.cols[k].items()))
 
     def is_zero(self) -> bool:
         return not any(self.cols)

@@ -7,7 +7,6 @@ Enumeration always happens inside an explicit finite window.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 Point = tuple[int, ...]
@@ -45,14 +44,6 @@ class LatticeSpace:
         if self.dim == 0:
             return 0
         return max(abs(a - b) for a, b in zip(p, q))
-
-    def ball(self, center: Point, r: int) -> list[Point]:
-        """All points within sup-distance r of center, lexicographically."""
-        if r < 0:
-            raise ValueError("radius must be >= 0")
-        self.check_point(center)
-        ranges = [range(c - r, c + r + 1) for c in center]
-        return [tuple(p) for p in itertools.product(*ranges)]
 
     def to_json(self) -> dict:
         return {"kind": "lattice", "dim": self.dim}

@@ -9,10 +9,12 @@ cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
-from coarse_chains import AffineSimplex, FlatPair
+from coarse_chains import AffineSimplex, FlatPair, LatticeSpace, TranslationAction
+from coarse_chains.equivariant import QuotientComplex
+from coarse_chains.intlinalg import SparseIntMatrix
 
 
 def crossing_oracle_q1(y0, y1) -> int:
@@ -62,6 +64,55 @@ def thom_oracle(simplex: AffineSimplex, pair: FlatPair) -> int:
     else:
         raise NotImplementedError
     return pair.normal_orientation * value
+
+
+def lattice_ball(space: LatticeSpace, center, r: int) -> list[tuple[int, ...]]:
+    """All points within sup-distance r of center, lexicographically."""
+    if r < 0:
+        raise ValueError("radius must be >= 0")
+    space.check_point(center)
+    return [tuple(p) for p in product(*[range(c - r, c + r + 1) for c in center])]
+
+
+def diameter(simplex: AffineSimplex) -> Fraction:
+    """Largest sup-distance between two vertices of the simplex."""
+    vs = simplex.vertices
+    return max((max(abs(Fraction(a) - Fraction(b)) for a, b in zip(p, q))
+                for i, p in enumerate(vs) for q in vs[i + 1:]), default=Fraction(0))
+
+
+def barycentric_point(simplex: AffineSimplex, weights) -> tuple[Fraction, ...]:
+    """The point with the given barycentric weights (summing to 1)."""
+    if len(weights) != len(simplex.vertices) or sum(weights) != 1:
+        raise ValueError("weights must match the vertex count and sum to 1")
+    return tuple(sum(w * Fraction(v[i]) for w, v in zip(weights, simplex.vertices))
+                 for i in range(simplex.ambient_dim))
+
+
+def is_canonical(action: TranslationAction, tup) -> bool:
+    """Whether the tuple is its own orbit representative."""
+    return not any(action.canonical_shift(tup[0]))
+
+
+def quotient_boundary_oracle(qc: QuotientComplex, d: int) -> list[list[int]]:
+    """Dense d_d of the quotient complex, with every face of every basis
+    tuple sent through normalize_tuple and placed by its lower-basis row."""
+    row = {t: i for i, t in enumerate(qc.bases[d - 1])}
+    out = [[0] * len(qc.bases[d]) for _ in row]
+    for col, tup in enumerate(qc.bases[d]):
+        for j in range(len(tup)):
+            out[row[qc.action.normalize_tuple(tup[:j] + tup[j + 1:])]][col] += (-1) ** j
+    return out
+
+
+def sparse_multiply(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
+    """Product of two column-stored sparse matrices."""
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch in sparse multiply")
+    # Column c of A B is the sum over k of B[k, c] times column k of A.
+    return SparseIntMatrix(a.nrows, b.ncols,
+                           ((r, c, w * v) for c, bcol in enumerate(b.cols)
+                            for k, w in bcol.items() for r, v in a.cols[k].items()))
 
 
 def mat_mul(a, b):

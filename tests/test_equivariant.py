@@ -26,8 +26,16 @@ from coarse_chains import (
     wrong_way,
 )
 from coarse_chains.equivariant import QuotientComplex
-from coarse_chains.intlinalg import SparseIntMatrix
-from oracles import det_oracle, frac_rank_oracle, lattice_coords_oracle
+from coarse_chains.intlinalg import SparseIntMatrix, kernel_basis
+from oracles import (
+    det_oracle,
+    frac_rank_oracle,
+    is_canonical,
+    lattice_ball,
+    lattice_coords_oracle,
+    quotient_boundary_oracle,
+    sparse_multiply,
+)
 
 Z_ACT = TranslationAction.standard(1)
 Z2_ACT = TranslationAction.standard(2)
@@ -56,7 +64,7 @@ def test_orbit_normalize_idempotent(rng):
                     for _ in range(rng.randint(1, 4)))
         once = action.normalize_tuple(tup)
         assert action.normalize_tuple(once) == once
-        assert action.is_canonical(once)
+        assert is_canonical(action, once)
 
 
 def test_non_axis_lattice_normalization():
@@ -65,7 +73,7 @@ def test_non_axis_lattice_normalization():
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
     tup = ((7, -5), (9, -4))
     rep = action.normalize_tuple(tup)
-    assert action.is_canonical(rep)
+    assert is_canonical(action, rep)
     assert rep == ((1, 1), (3, 2))
 
 
@@ -88,7 +96,7 @@ def test_action_uniform_properness_counting():
                 for i in range(-20, 21) for j in range(-20, 21)
             ]
             for x in [(0, 0), (5, -3)]:
-                ball = set(space.ball(x, r))
+                ball = set(lattice_ball(space, x, r))
                 meeting = [
                     v for v in brute
                     if ball & {tuple(a + b for a, b in zip(p, v)) for p in ball}
@@ -531,11 +539,15 @@ def _brute_force_basis_oracle(action, r_max, degree, oriented):
     return sorted(out)
 
 
-@pytest.mark.parametrize("action, r_max, degrees", [
+QUOTIENT_CASES = [
     (Z_ACT, 1, range(3)), (Z_ACT, 2, range(3)),
     (Z2_ACT, 1, range(4)), (Z2_ACT, 2, range(4)),
     (TranslationAction(LatticeSpace(2), ((2, 1), (0, 3))), 1, range(1, 4)),
-], ids=["T1-R1", "T1-R2", "T2-R1", "T2-R2", "skew"])
+]
+QUOTIENT_IDS = ["T1-R1", "T1-R2", "T2-R1", "T2-R2", "skew"]
+
+
+@pytest.mark.parametrize("action, r_max, degrees", QUOTIENT_CASES, ids=QUOTIENT_IDS)
 @pytest.mark.parametrize("ordered", [True, False], ids=["ordered", "oriented"])
 def test_quotient_bases_match_brute_force(action, r_max, degrees, ordered):
     qc = build_quotient_complex(action, r_max, degrees, include_degenerate=ordered)
@@ -546,9 +558,46 @@ def test_quotient_bases_match_brute_force(action, r_max, degrees, ordered):
         assert basis == _brute_force_basis_oracle(action, r_max, d, not ordered)
 
 
+@pytest.mark.parametrize("action, r_max, degrees", QUOTIENT_CASES + [
+    (TranslationAction(LatticeSpace(2), ((1, 1), (1, -1))), 1, range(4)),
+], ids=QUOTIENT_IDS + ["diagonal"])
+@pytest.mark.parametrize("ordered", [True, False], ids=["ordered", "oriented"])
+def test_quotient_boundaries_match_brute_force(action, r_max, degrees, ordered):
+    # The build renormalizes face 0 only; the oracle renormalizes every face.
+    qc = build_quotient_complex(action, r_max, degrees, include_degenerate=ordered)
+    assert sorted(qc.matrices) == [d for d in degrees if d - 1 in qc.bases]
+    for d, matrix in qc.matrices.items():
+        assert matrix.to_dense() == quotient_boundary_oracle(qc, d)
+
+
 def test_quotient_matrices_compose_to_zero():
     qc = build_quotient_complex(Z2_ACT, 1, range(4))
     assert qc.composition_is_zero()
+
+
+def test_composition_is_zero_matches_product_oracle():
+    # Even trials take d_2 from integral kernel vectors of d_1, so the
+    # streamed check meets both answers; sparse_multiply is the oracle.
+    def sparse(rows):
+        return SparseIntMatrix(len(rows), len(rows[0]),
+                               [(i, j, x) for i, row in enumerate(rows)
+                                for j, x in enumerate(row) if x])
+
+    rng = random.Random(12)
+    answers = []
+    for trial in range(60):
+        d1 = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(4)] for _ in range(3)]
+        if trial % 2:
+            d2 = [[rng.choice([0, 1, -1]) for _ in range(3)] for _ in range(4)]
+        else:
+            kernel = kernel_basis(d1)
+            d2 = [[col[i] for col in kernel] for i in range(4)]
+        m1, m2 = sparse(d1), sparse(d2)
+        qc = QuotientComplex(action=Z_ACT, r_max=1, degrees=(0, 1, 2), bases={},
+                             index={}, matrices={1: m1, 2: m2})
+        answers.append(qc.composition_is_zero())
+        assert answers[-1] == sparse_multiply(m1, m2).is_zero()
+    assert set(answers) == {True, False}
 
 
 def test_empty_degree_range():

@@ -66,7 +66,7 @@ def test_filling_independence_catches_the_thom_sign_mutation():
 
 def test_cli_verify_glue(tmp_path, capsys, monkeypatch):
     # The CLI prints one line per check, writes the canonical report, and
-    # converts the pass flag into the exit code.
+    # converts the pass flag into the exit code: 4, apart from a bad call's 1.
     import coarse_chains.cli as cli
 
     stub = {
@@ -81,8 +81,23 @@ def test_cli_verify_glue(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_verify", lambda mutation=None: stub)
     out_path = tmp_path / "report.json"
     code = main(["verify", "--out", str(out_path)])
-    assert code == 1
+    assert code == 4 == cli.EXIT_CHECKS_FAILED
     printed = capsys.readouterr().out
     assert "PASS alpha: fine" in printed
     assert "FAIL beta: broken" in printed
     assert json.loads(out_path.read_text()) == stub
+
+
+def test_cli_verify_failed_battery_with_unwritable_out_exits_1(tmp_path, capsys, monkeypatch):
+    # A bad call keeps exit code 1 even when the battery also failed.
+    import coarse_chains.cli as cli
+
+    stub = {"checks": [{"name": "beta", "status": "fail", "detail": "broken"}],
+            "passed": False}
+    monkeypatch.setattr(cli, "run_verify", lambda mutation=None: stub)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    assert main(["verify", "--out", str(blocker / "v.json")]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL beta: broken" in captured.out
+    assert captured.err.startswith(f"error: cannot write {blocker / 'v.json'}: ")
