@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import comb
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -38,7 +39,8 @@ Vector = tuple[int, ...]
 
 
 class TruncationError(ValueError):
-    """A spread/radius bound was too small to represent the requested data."""
+    """A spread/radius bound was too small to represent the requested data,
+    or a requested complex too large to enumerate."""
 
 
 @dataclass(frozen=True)
@@ -335,6 +337,35 @@ def equivariant_wrong_way(c: EquivariantChain, ctx: WrongWayContext) -> Equivari
 
 # -- quotient complexes ----------------------------------------------------
 
+# Largest top-degree basis build_quotient_complex enumerates.  Building T^3
+# ordered and taking its homology costs about 0.8 KiB per top-degree tuple,
+# so the cap keeps a request near 1 GiB.  The ordered T^4 basis (63^4 tuples
+# in degree 5) is over it; the oriented one (7,896) is far under.
+MAX_BASIS_SIZE = 1_000_000
+
+
+def predicted_basis_size(action: TranslationAction, r_max: int, degree: int,
+                         include_degenerate: bool = True) -> int:
+    """The size of the degree-d quotient basis, by arithmetic alone.
+
+    A tuple (ordered basis) or vertex set (oriented basis) of spread <= R
+    has one Z^n-translate in the box [0, R]^n with minimum 0 on every axis;
+    its Z^n-orbit splits into |det| orbits of the action, each with one
+    representative in the basis.  The translates are counted by
+    inclusion-exclusion over the axes J on which no vertex is 0, which
+    leave (R+1)^(n-|J|) R^|J| points of the box for the d+1 vertices.
+    """
+    if not action.is_full_rank():
+        raise ValueError("quotient complexes need a full-rank (cocompact) action")
+    n = action.space.dim
+    total = 0
+    for j in range(n + 1):
+        points = (r_max + 1) ** (n - j) * r_max ** j
+        count = points ** (degree + 1) if include_degenerate else comb(points, degree + 1)
+        total += (-1) ** j * comb(n, j) * count
+    return abs(det(action.generators)) * total
+
+
 @dataclass
 class QuotientComplex:
     """Finite chain complex of bounded-spread orbit representatives."""
@@ -395,6 +426,10 @@ def build_quotient_complex(
     orientations of an edge would become independent cycles; the oriented
     reduction is the correct lean variant and gives the same betti
     numbers.)
+
+    A request whose predicted_basis_size in the top degree exceeds
+    MAX_BASIS_SIZE is refused with a TruncationError before anything is
+    enumerated.
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
@@ -404,6 +439,11 @@ def build_quotient_complex(
     if degrees and degrees != tuple(range(degrees[0], degrees[-1] + 1)):
         raise ValueError("degrees must form a contiguous range")
     n = action.space.dim
+    if degrees:
+        size = predicted_basis_size(action, r_max, degrees[-1], include_degenerate)
+        if size > MAX_BASIS_SIZE:
+            raise TruncationError(f"the degree {degrees[-1]} basis would hold {size} tuples, "
+                                  f"above the cap of {MAX_BASIS_SIZE}")
 
     # Degree d extends each degree d-1 tuple by every admissible last vertex.
     # Canonicity rests on the first vertex alone, and a tuple meets the
@@ -427,10 +467,9 @@ def build_quotient_complex(
     index = {d: {t: i for i, t in enumerate(basis)} for d, basis in bases.items()}
     matrices: dict[int, SparseIntMatrix] = {}
     offsets: dict[Point, Vector | None] = {}  # second vertex -> canonical_offset
-    for d in degrees:
-        if d - 1 not in bases or d == 0:
-            continue
-        entries: list[tuple[int, int, int]] = []
+
+    def boundary_entries(d: int) -> Iterable[tuple[int, int, int]]:
+        # Streamed into the matrix, so no list of all entries is ever held.
         lower = index[d - 1]
         for col, tup in enumerate(bases[d]):
             head = tup[1]
@@ -438,10 +477,14 @@ def build_quotient_complex(
                 offsets[head] = action.canonical_offset(head)
             offset = offsets[head]
             face = tup[1:] if offset is None else action.translate_tuple(tup[1:], offset)
-            entries.append((lower[face], col, 1))
+            yield lower[face], col, 1
             for j in range(1, len(tup)):
-                entries.append((lower[tup[:j] + tup[j + 1:]], col, -1 if j % 2 else 1))
-        matrices[d] = SparseIntMatrix(len(bases[d - 1]), len(bases[d]), entries)
+                yield lower[tup[:j] + tup[j + 1:]], col, -1 if j % 2 else 1
+
+    for d in degrees:
+        if d - 1 in bases and d:
+            matrices[d] = SparseIntMatrix(len(bases[d - 1]), len(bases[d]),
+                                          boundary_entries(d))
 
     return QuotientComplex(action, r_max, degrees, bases, index, matrices,
                            include_degenerate)
@@ -476,12 +519,16 @@ def snf_homology(complex_: QuotientComplex) -> HomologyReport:
     """
     if not complex_.composition_is_zero():
         raise ValueError("boundary matrices do not compose to zero; not a complex")
+    # Each d_d is reduced as its coboundary d_d^T, which has the same Smith
+    # form, in rising degree: a unit-pivot low of one degree clears that
+    # column of the next (exact only because d d = 0, checked above).
     ranks: dict[int, int] = {}
     factors: dict[int, list[int]] = {}
-    for d, matrix in complex_.matrices.items():
-        r, f = matrix.rank_and_factors()
-        ranks[d] = r
-        factors[d] = f
+    lows: dict[int, set[int]] = {}
+    for d in sorted(complex_.matrices):
+        lows[d] = set()
+        ranks[d], factors[d] = complex_.matrices[d].transposed().rank_and_factors(
+            lows.pop(d - 1, ()), lows[d])
     entries = []
     for d in complex_.degrees:
         if d + 1 not in complex_.matrices:

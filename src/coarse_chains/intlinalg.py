@@ -15,6 +15,9 @@ large boundary matrices of quotient complexes by column only, one
 Its reduction, as in persistent homology, only ever adds multiples of columns
 whose lowest entry is +-1 (unimodular operations only), and hands the small
 leftover core to the dense routine, so ranks and invariant factors stay exact.
+Homology reduces coboundaries (transposed boundaries, same Smith form) in
+rising degree with clearing, as Ripser does: the column at each unit-pivot low
+of one degree is skipped in the next, since a unimodular operation zeroes it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 Matrix = list[list[int]]
 RationalMatrix = list[list[int | Fraction]]
@@ -330,33 +333,44 @@ class SparseIntMatrix:
         return out
 
     def transposed(self) -> "SparseIntMatrix":
-        return SparseIntMatrix(self.ncols, self.nrows,
-                               ((c, r, v) for c, col in enumerate(self.cols)
-                                for r, v in col.items()))
+        # Stored entries are in range, nonzero and one per place: no checks.
+        out = SparseIntMatrix(self.ncols, self.nrows)
+        rows = out.cols
+        for c, col in enumerate(self.cols):
+            for r, v in col.items():
+                rows[r][c] = v
+        return out
 
-    def is_zero(self) -> bool:
-        return not any(self.cols)
-
-    def rank_and_factors(self) -> tuple[int, list[int]]:
+    def rank_and_factors(self, cleared: Container[int] = (),
+                         unit_lows: set[int] | None = None) -> tuple[int, list[int]]:
         """Exact rank and invariant factors; the matrix is left unchanged.
 
         Columns are reduced in order against earlier columns whose lowest
         (largest-row) entry is +-1, so every step is a unimodular column
         operation.  Those pivot columns form a triangular block with a unit
-        diagonal.  A column left with a non-unit low is set aside, cleared on
-        the pivot rows and handed, with the others, to the dense Smith routine.
+        diagonal.  A column left with a non-unit low is set aside, reduced on
+        every pivot row and handed, with the others, to the dense Smith routine.
+
+        Clearing: the columns indexed in `cleared` are skipped, and the lows
+        of this matrix's unit pivots are added to `unit_lows` when it is
+        given.  Skipping is exact when a unimodular column operation zeroes
+        each skipped column.  For coboundaries reduced in rising degree it
+        does at the unit-pivot lows of the degree below: a reduced column R
+        of delta_{d-1} with low i and entry +-1 there is a cocycle, so
+        putting R into column i of the identity gives a unimodular V,
+        triangular up to signs, with delta_d V zero in column i.
         """
         pivots: dict[int, dict[int, int]] = {}
 
-        def reduce(col: dict[int, int], clear: bool) -> int | None:
+        def reduce(col: dict[int, int], exhaust: bool) -> int | None:
             # Cancel entries from the highest row down against the pivot with
             # that low; each step lowers the row, so there are <= nrows steps.
-            # Returns the first low without a pivot, unless clearing past it.
+            # Returns the first low without a pivot, unless exhausting past it.
             heap = sorted(-r for r in col)
             while heap:
                 low = -heapq.heappop(heap)
                 pivot = pivots.get(low)
-                if low not in col or (pivot is None and clear):
+                if low not in col or (pivot is None and exhaust):
                     continue
                 if pivot is None:
                     return low
@@ -372,13 +386,23 @@ class SparseIntMatrix:
             return None
 
         aside: list[dict[int, int]] = []
-        for col in map(dict, self.cols):
-            low = reduce(col, False)
-            if low is not None:
-                if col[low] in (1, -1):
-                    pivots[low] = col
-                else:
-                    aside.append(col)
+        for j, col in enumerate(self.cols):
+            if not col or j in cleared:
+                continue
+            low = max(col)
+            if low in pivots:
+                col = dict(col)
+                low = reduce(col, False)
+                if low is None:
+                    continue
+            # A column no pivot touched becomes a pivot as it stands: pivots
+            # are only read.  Set-aside columns are reduced further, so copied.
+            if col[low] in (1, -1):
+                pivots[low] = col
+            else:
+                aside.append(dict(col))
+        if unit_lows is not None:
+            unit_lows.update(pivots)
         factors = [1] * len(pivots)
         for col in aside:
             reduce(col, True)

@@ -115,6 +115,11 @@ def sparse_multiply(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
                             for k, w in bcol.items() for r, v in a.cols[k].items()))
 
 
+def sparse_is_zero(a: SparseIntMatrix) -> bool:
+    """Whether a column-stored sparse matrix has no nonzero entry."""
+    return not any(a.cols)
+
+
 def mat_mul(a, b):
     """Plain matrix product of lists of rows."""
     if not a or not b:

@@ -1,7 +1,9 @@
+import heapq
 import itertools
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,15 +27,18 @@ from coarse_chains import (
     snf_homology,
     wrong_way,
 )
-from coarse_chains.equivariant import QuotientComplex
-from coarse_chains.intlinalg import SparseIntMatrix, kernel_basis
+from coarse_chains import intlinalg
+from coarse_chains.equivariant import MAX_BASIS_SIZE, QuotientComplex, predicted_basis_size
+from coarse_chains.intlinalg import SparseIntMatrix, invariant_factors, kernel_basis
 from oracles import (
     det_oracle,
     frac_rank_oracle,
     is_canonical,
     lattice_ball,
     lattice_coords_oracle,
+    mat_mul,
     quotient_boundary_oracle,
+    sparse_is_zero,
     sparse_multiply,
 )
 
@@ -575,29 +580,81 @@ def test_quotient_matrices_compose_to_zero():
     assert qc.composition_is_zero()
 
 
+def _sparse(rows, ncols=None):
+    return SparseIntMatrix(len(rows), len(rows[0]) if rows else ncols,
+                           [(i, j, x) for i, row in enumerate(rows)
+                            for j, x in enumerate(row) if x])
+
+
+def _kernel_matrix(a):
+    """An integral basis of ker(A), one column per vector."""
+    kernel = kernel_basis(a)
+    return [[col[i] for col in kernel] for i in range(len(a[0]))]
+
+
+def _boundary_pair(rng, composes):
+    """A random 3 x 4 d_1 and a d_2 below it, from integral kernel vectors
+    of d_1 when composes (so d_1 d_2 = 0), else at random."""
+    d1 = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(4)] for _ in range(3)]
+    if composes:
+        return d1, _kernel_matrix(d1)
+    return d1, [[rng.choice([0, 1, -1]) for _ in range(3)] for _ in range(4)]
+
+
 def test_composition_is_zero_matches_product_oracle():
     # Even trials take d_2 from integral kernel vectors of d_1, so the
     # streamed check meets both answers; sparse_multiply is the oracle.
-    def sparse(rows):
-        return SparseIntMatrix(len(rows), len(rows[0]),
-                               [(i, j, x) for i, row in enumerate(rows)
-                                for j, x in enumerate(row) if x])
-
     rng = random.Random(12)
     answers = []
     for trial in range(60):
-        d1 = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(4)] for _ in range(3)]
-        if trial % 2:
-            d2 = [[rng.choice([0, 1, -1]) for _ in range(3)] for _ in range(4)]
-        else:
-            kernel = kernel_basis(d1)
-            d2 = [[col[i] for col in kernel] for i in range(4)]
-        m1, m2 = sparse(d1), sparse(d2)
+        d1, d2 = _boundary_pair(rng, trial % 2 == 0)
+        m1, m2 = _sparse(d1), _sparse(d2)
         qc = QuotientComplex(action=Z_ACT, r_max=1, degrees=(0, 1, 2), bases={},
                              index={}, matrices={1: m1, 2: m2})
         answers.append(qc.composition_is_zero())
-        assert answers[-1] == sparse_multiply(m1, m2).is_zero()
+        assert answers[-1] == sparse_is_zero(sparse_multiply(m1, m2))
     assert set(answers) == {True, False}
+
+
+@pytest.mark.parametrize("action, r_max, degrees", QUOTIENT_CASES + [
+    (TranslationAction.standard(3), 1, range(5)),
+    (TranslationAction(LatticeSpace(3), ((1, 1, 0), (0, 1, 1), (1, 0, 2))), 2, range(3)),
+], ids=QUOTIENT_IDS + ["T3-R1", "skew3-R2"])
+@pytest.mark.parametrize("ordered", [True, False], ids=["ordered", "oriented"])
+def test_predicted_basis_size_is_exact(action, r_max, degrees, ordered):
+    qc = build_quotient_complex(action, r_max, degrees, include_degenerate=ordered)
+    for d in degrees:
+        assert qc.basis_size(d) == predicted_basis_size(action, r_max, d, ordered)
+
+
+def test_oversized_quotient_is_refused_before_enumeration(no_enumeration):
+    # T^4 at spread 1 has 63^4 ordered tuples in degree 5, over the cap.
+    t4 = TranslationAction.standard(4)
+    with pytest.raises(TruncationError,
+                       match=rf"15752961 tuples, above the cap of {MAX_BASIS_SIZE}"):
+        build_quotient_complex(t4, 1, range(6))
+    # Its oriented basis has 7,896, so that build goes on to enumerate.
+    assert predicted_basis_size(t4, 1, 5, False) == 7896
+    with pytest.raises(AssertionError, match="started enumerating"):
+        build_quotient_complex(t4, 1, range(6), include_degenerate=False)
+
+
+def test_quotient_cap_admits_every_bundled_and_benchmarked_complex():
+    # The bundled scenarios build tori of at most their ambient dimension,
+    # in degrees up to one above it; the largest complexes the tests and
+    # the benchmark build are T^3 ordered and T^4 oriented at spread 1.
+    from coarse_chains.scenarios import load_scenario
+    from test_golden import BUNDLED
+
+    requests = [(3, 1, True), (4, 1, False)]
+    for name in BUNDLED:
+        config = load_scenario(name)
+        requests.append((config["pair"]["ambient_dim"], config["r_max"], True))
+        requests += [(step["torus"], config["r_max"], True)
+                     for step in config["pipeline"] if step["op"] == "homology"]
+    for n, r_max, ordered in requests:
+        assert predicted_basis_size(TranslationAction.standard(n), r_max, n + 1,
+                                    ordered) <= MAX_BASIS_SIZE
 
 
 def test_empty_degree_range():
@@ -650,6 +707,92 @@ def test_degenerate_free_basis_same_betti():
         lean = snf_homology(build_quotient_complex(
             TranslationAction.standard(n), 1, range(n + 2), include_degenerate=False))
         assert full.betti() == lean.betti()
+
+
+def _complex_of(boundaries):
+    """A QuotientComplex around hand-made boundary matrices d_1, d_2, ...;
+    its bases are placeholders of the right sizes."""
+    sizes = [len(boundaries[0])] + [len(d[0]) for d in boundaries]
+    return QuotientComplex(
+        action=Z_ACT, r_max=1, degrees=tuple(range(len(sizes))),
+        bases={k: [()] * size for k, size in enumerate(sizes)}, index={},
+        matrices={k + 1: _sparse(d, sizes[k + 1]) for k, d in enumerate(boundaries)})
+
+
+def _dense_homology_oracle(boundaries):
+    """[(degree, betti, torsion)] from the dense Smith form of each d_k."""
+    sizes = [len(boundaries[0])] + [len(d[0]) for d in boundaries]
+    factors = [[]] + [invariant_factors(d) for d in boundaries] + [[]]
+    return [(k, sizes[k] - len(factors[k]) - len(factors[k + 1]),
+             tuple(x for x in factors[k + 1] if x > 1)) for k in range(len(boundaries))]
+
+
+def _random_chain_complex(rng):
+    """Boundaries d_1, ..., d_4 with every d_k d_{k+1} = 0.  Past the pair
+    of _boundary_pair, each d_{k+1} is a kernel basis of d_k times a random
+    integer matrix, so its image is a sublattice of ker d_k and torsion shows."""
+    def onto_sublattice(kernel):
+        m = len(kernel[0])
+        mix = [[rng.choice([0, 0, 1, -1, 2, 3]) for _ in range(rng.randint(1, m + 1))]
+               for _ in range(m)]
+        return mat_mul(kernel, mix)
+
+    d1, d2 = _boundary_pair(rng, True)
+    out = [d1, onto_sublattice(d2)]
+    while len(out) < 4 and kernel_basis(out[-1]):
+        out.append(onto_sublattice(_kernel_matrix(out[-1])))
+    return out
+
+
+def test_cleared_homology_matches_dense_oracle(monkeypatch):
+    cleared = []
+    original = SparseIntMatrix.rank_and_factors
+
+    def spy(self, skip=(), lows=None):
+        cleared.append(len(skip))
+        return original(self, skip, lows)
+
+    monkeypatch.setattr(SparseIntMatrix, "rank_and_factors", spy)
+    rng = random.Random(13)
+    torsion = 0
+    for _ in range(60):
+        boundaries = _random_chain_complex(rng)
+        report = snf_homology(_complex_of(boundaries))
+        want = _dense_homology_oracle(boundaries)
+        assert [(e.degree, e.betti, e.torsion) for e in report.entries] == want
+        torsion += any(t for _, _, t in want)
+    assert torsion >= 10
+    assert sum(cleared) >= 60, "clearing skipped too few columns to be tested"
+
+
+def test_non_unit_lows_never_clear():
+    # d_2 = (2 4) gives H_1 = Z/2 and, as a coboundary, the non-unit low 4
+    # at t; d_3 = 2s - t spans ker d_2.  Clearing column t of d_3^T would
+    # leave (2) and a false Z/2 in H_2.
+    boundaries = [[[0]], [[2, 4]], [[2], [-1]]]
+    report = snf_homology(_complex_of(boundaries))
+    assert [(e.degree, e.betti, e.torsion) for e in report.entries] == [
+        (0, 1, ()), (1, 0, (2,)), (2, 0, ())]
+    assert _dense_homology_oracle(boundaries) == [(0, 1, ()), (1, 0, (2,)), (2, 0, ())]
+
+
+@pytest.mark.parametrize("n, ordered, bound", [(3, True, 40_000), (4, False, 25_000)])
+def test_snf_homology_reduction_cost_is_bounded(n, ordered, bound, monkeypatch):
+    # With clearing these make 19,072 and 11,417 heap pops; reducing the same
+    # coboundaries without clearing makes 641,002 and 276,894.
+    pops = [0]
+
+    def counting_pop(heap):
+        pops[0] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(intlinalg, "heapq",
+                        SimpleNamespace(heappop=counting_pop, heappush=heapq.heappush))
+    qc = build_quotient_complex(TranslationAction.standard(n), 1, range(n + 2),
+                                include_degenerate=ordered)
+    report = snf_homology(qc)
+    assert [report.betti()[d] for d in range(n + 1)] == [math.comb(n, d) for d in range(n + 1)]
+    assert 0 < pops[0] <= bound
 
 
 def test_snf_homology_rejects_non_complex():

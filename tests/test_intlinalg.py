@@ -27,6 +27,7 @@ from oracles import (
     int_solvable_oracle,
     mat_mul,
     pivot_columns_oracle,
+    sparse_is_zero,
     sparse_multiply,
     transpose,
 )
@@ -342,28 +343,51 @@ def test_sparse_reduction_hand_cases(a, want, cores, dense_cores):
     assert want == (frac_rank_oracle(a), invariant_factors(a))
 
 
-def test_sparse_reduction_leaves_the_matrix_unchanged():
+def test_sparse_reduction_leaves_the_matrix_unchanged(dense_cores):
+    # Cleared and uncleared; the entries up to 3 leave non-unit lows, and
+    # the set-aside columns that are then reduced must be copies.
     rng = random.Random(11)
+    cleared_runs = 0
     for _ in range(30):
         a = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), lo=-3, hi=3, density=0.5)
         sparse = _sparse(a)
         cols = [dict(col) for col in sparse.cols]
         sparse.rank_and_factors()
         assert sparse.cols == cols
+        cleared = {j for j in range(sparse.ncols) if rng.random() < 0.3}
+        lows: set[int] = set()
+        sparse.rank_and_factors(cleared, lows)
+        assert sparse.cols == cols
+        assert all(0 <= low < sparse.nrows for low in lows)
+        cleared_runs += bool(cleared)
+    assert cleared_runs >= 10
+    assert len(dense_cores) >= 10, "too few non-unit lows reached the dense core"
+
+
+def test_sparse_reduction_skips_cleared_columns_and_reports_unit_lows():
+    # Columns 0 and 1 have unit lows 0 and 2; column 2 has the non-unit low 1.
+    a = [[1, 0, 1], [0, 0, 2], [0, -1, 0]]
+    lows: set[int] = set()
+    assert _sparse(a).rank_and_factors((), lows) == (3, [1, 1, 2])
+    assert lows == {0, 2}
+    lows.clear()
+    assert _sparse(a).rank_and_factors({1}, lows) == (2, [1, 2])
+    assert lows == {0}
+    assert _sparse(a).rank_and_factors(range(3)) == (0, [])
 
 
 def test_sparse_entries_summing_to_zero_leave_no_key():
     sparse = SparseIntMatrix(2, 3, [(0, 1, 2), (1, 2, 4), (0, 1, -2), (1, 2, -1), (1, 0, 0)])
     assert sparse.cols == [{}, {}, {1: 3}]
-    assert sparse.nnz() == 1 and not sparse.is_zero()
+    assert sparse.nnz() == 1 and not sparse_is_zero(sparse)
     cancelled = SparseIntMatrix(2, 2, [(1, 1, 5), (1, 1, -5)])
     assert cancelled.cols == [{}, {}]
-    assert cancelled.nnz() == 0 and cancelled.is_zero()
+    assert cancelled.nnz() == 0 and sparse_is_zero(cancelled)
     # A product whose terms cancel stores nothing either.
     a = _sparse([[1, 1]])
     b = _sparse([[1], [-1]])
     product = sparse_multiply(a, b)
-    assert product.cols == [{}] and product.is_zero()
+    assert product.cols == [{}] and sparse_is_zero(product)
 
 
 def test_sparse_matrix_refuses_entries_outside_its_shape():

@@ -252,6 +252,21 @@ def test_cli_homology_torus(tmp_path, capsys):
     assert all(e["torsion"] == [] for e in payload["homology"])
 
 
+def test_cli_homology_refuses_an_oversized_torus(capsys, no_enumeration):
+    # The ordered T^4 basis has 63^4 tuples in degree 5: refused, exit 3.
+    assert main(["homology", "--torus", "4"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "truncation"
+    assert "15752961 tuples" in err["detail"] and "cap of 1000000" in err["detail"]
+
+
+def test_cli_homology_oriented_t4_stays_under_the_cap(capsys):
+    assert main(["homology", "--torus", "4", "--no-degenerate"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [e["betti"] for e in payload["homology"]] == [1, 4, 6, 4, 1]
+    assert payload["basis_sizes"]["5"] == 7896
+
+
 def test_cli_homology_oriented_basis(capsys):
     code = main(["homology", "--torus", "2", "--rmax", "1", "--no-degenerate"])
     assert code == 0
