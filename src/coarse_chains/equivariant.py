@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -338,9 +339,9 @@ def equivariant_wrong_way(c: EquivariantChain, ctx: WrongWayContext) -> Equivari
 # -- quotient complexes ----------------------------------------------------
 
 # Largest top-degree basis build_quotient_complex enumerates.  Building T^3
-# ordered and taking its homology costs about 0.8 KiB per top-degree tuple,
-# so the cap keeps a request near 1 GiB.  The ordered T^4 basis (63^4 tuples
-# in degree 5) is over it; the oriented one (7,896) is far under.
+# ordered and taking its homology peaks near 0.74 KiB (tracemalloc) per
+# top-degree tuple, so the cap keeps a request near 0.7 GiB.  Ordered T^4
+# (63^4 tuples in degree 5) is over it; oriented T^4 (7,896) is far under.
 MAX_BASIS_SIZE = 1_000_000
 
 
@@ -413,12 +414,18 @@ def build_quotient_complex(
     The default basis in degree d consists of the orbit representatives of
     all ordered (d+1)-tuples whose pairwise sup-distance is at most r_max,
     repeated vertices included; faces of basis tuples normalize back into
-    the lower basis, so the boundary matrices close up exactly.  Face 0 is
-    the only face that needs renormalizing: a face dropping vertex j >= 1
-    keeps the first vertex, so it is already canonical and is looked up as
-    sliced.  Face 0 starts at the second vertex and is moved back by the
-    lattice translation that makes that vertex canonical, which depends on
-    that one point alone and is computed once per point.
+    the lower basis, so the boundary matrices close up exactly.
+
+    Every vertex of such a tuple lies within r_max of the first, so a basis
+    tuple is a fundamental point i and codes c_1..c_d, the lexicographic
+    ranks of its displacements from the first vertex among the
+    K = (2 r_max + 1)^n vectors of [-r_max, r_max]^n, keyed by the base-K
+    numeral i c_1 ... c_d.  Face j >= 1 drops digit j.  Face 0 moves the
+    second vertex home to fundamental point g(i, c_1), one canonical_offset
+    per (i, c_1), and recodes vertex k as c_k - c_1 + c(0): its displacement
+    from the second vertex is a difference of two vertices, which the
+    spread bound keeps in [-r_max, r_max]^n, so every digit stays in [0, K)
+    and face keys are exact integer arithmetic.
 
     include_degenerate=False switches to the oriented basis: one sorted
     injective tuple per vertex set.  (Merely deleting repeated-vertex
@@ -445,47 +452,55 @@ def build_quotient_complex(
             raise TruncationError(f"the degree {degrees[-1]} basis would hold {size} tuples, "
                                   f"above the cap of {MAX_BASIS_SIZE}")
 
-    # Degree d extends each degree d-1 tuple by every admissible last vertex.
-    # Canonicity rests on the first vertex alone, and a tuple meets the
-    # spread bound and the oriented order exactly when each prefix does, so
-    # this reaches every degree d tuple once; in product order, sorted.
+    points = action.fundamental_points()
+    shifts = list(itertools.product(range(-r_max, r_max + 1), repeat=n))
+    K, zero = len(shifts), len(shifts) // 2
+    vertices = [[tuple(map(add, p, v)) for v in shifts] for p in points]
+    where = {p: i for i, p in enumerate(points)}
+    homes = [where[tuple(map(add, q, action.canonical_offset(q) or shifts[zero]))]
+             for row in vertices for q in row]  # i K + c -> g(i, c)
+
+    @cache
+    def extend(span: tuple) -> list[tuple[int, tuple]]:
+        # The codes a prefix spanning [lo, hi] per axis admits, with new spans.
+        return [(c, tuple((min(lo, x), max(hi, x)) for (lo, hi), x in zip(span, v)))
+                for c, v in enumerate(shifts)
+                if all(hi - r_max <= x <= lo + r_max for (lo, hi), x in zip(span, v))]
+
+    def boundary_entries(d: int, below: list[int], keys: list[int]) -> Iterable[tuple[int, int, int]]:
+        # Streamed into the matrix, so no list of all entries is ever held.
+        lower = {key: row for row, key in enumerate(below)}
+        powers = [K ** (d - j) for j in range(1, d + 1)]  # the place of digit j
+        starts = [g * powers[0] + (zero - h % K) * sum(powers[1:]) for h, g in enumerate(homes)]
+        for col, key in enumerate(keys):
+            head, rest = divmod(key, powers[0])
+            yield lower[starts[head] + rest], col, 1
+            for j, p in enumerate(powers, 1):
+                high, low = divmod(key, p)
+                yield lower[high // K * p + low], col, -1 if j % 2 else 1
+
     bases: dict[int, list[ChainTuple]] = {}
-    layer: list[ChainTuple] = [(p,) for p in action.fundamental_points()]
+    matrices: dict[int, SparseIntMatrix] = {}
+    tuples: list[ChainTuple] = [(p,) for p in points]
+    keys, spans = list(range(len(points))), [((0, 0),) * n] * len(points)
     for d in range(degrees[-1] + 1 if degrees else 0):
         if d:
-            grown: list[ChainTuple] = []
-            for tup in layer:
-                lo = [max(p[i] for p in tup) - r_max for i in range(n)]
-                hi = [min(p[i] for p in tup) + r_max for i in range(n)]
-                for nxt in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-                    if include_degenerate or nxt > tup[-1]:
-                        grown.append(tup + (nxt,))
-            layer = grown
+            grown, grown_keys, grown_spans = [], [], []
+            for tup, key, span in zip(tuples, keys, spans):
+                row, last = vertices[key // K ** (d - 1)], key % K if d > 1 else zero
+                for c, next_span in extend(span):
+                    if include_degenerate or c > last:  # codes keep the order
+                        grown.append(tup + (row[c],))
+                        grown_keys.append(key * K + c)
+                        grown_spans.append(next_span)
+            if d > degrees[0]:
+                matrices[d] = SparseIntMatrix(len(keys), len(grown_keys),
+                                              boundary_entries(d, keys, grown_keys))
+            tuples, keys, spans = grown, grown_keys, grown_spans
         if d >= degrees[0]:
-            bases[d] = layer
+            bases[d] = tuples
 
     index = {d: {t: i for i, t in enumerate(basis)} for d, basis in bases.items()}
-    matrices: dict[int, SparseIntMatrix] = {}
-    offsets: dict[Point, Vector | None] = {}  # second vertex -> canonical_offset
-
-    def boundary_entries(d: int) -> Iterable[tuple[int, int, int]]:
-        # Streamed into the matrix, so no list of all entries is ever held.
-        lower = index[d - 1]
-        for col, tup in enumerate(bases[d]):
-            head = tup[1]
-            if head not in offsets:
-                offsets[head] = action.canonical_offset(head)
-            offset = offsets[head]
-            face = tup[1:] if offset is None else action.translate_tuple(tup[1:], offset)
-            yield lower[face], col, 1
-            for j in range(1, len(tup)):
-                yield lower[tup[:j] + tup[j + 1:]], col, -1 if j % 2 else 1
-
-    for d in degrees:
-        if d - 1 in bases and d:
-            matrices[d] = SparseIntMatrix(len(bases[d - 1]), len(bases[d]),
-                                          boundary_entries(d))
-
     return QuotientComplex(action, r_max, degrees, bases, index, matrices,
                            include_degenerate)
 

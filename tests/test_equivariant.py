@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import itertools
 import json
@@ -563,16 +564,54 @@ def test_quotient_bases_match_brute_force(action, r_max, degrees, ordered):
         assert basis == _brute_force_basis_oracle(action, r_max, d, not ordered)
 
 
+SKEW3_ACT = TranslationAction(LatticeSpace(3), ((1, 1, 0), (0, 1, 1), (1, 0, 2)))
+
+
 @pytest.mark.parametrize("action, r_max, degrees", QUOTIENT_CASES + [
     (TranslationAction(LatticeSpace(2), ((1, 1), (1, -1))), 1, range(4)),
-], ids=QUOTIENT_IDS + ["diagonal"])
+    # Three fundamental points; at R = 2 each digit takes K = 125 codes.
+    (SKEW3_ACT, 1, range(3)), (SKEW3_ACT, 2, range(2)),
+], ids=QUOTIENT_IDS + ["diagonal", "skew3-R1", "skew3-R2"])
 @pytest.mark.parametrize("ordered", [True, False], ids=["ordered", "oriented"])
 def test_quotient_boundaries_match_brute_force(action, r_max, degrees, ordered):
-    # The build renormalizes face 0 only; the oracle renormalizes every face.
+    # The build computes faces on displacement codes; the oracle sends every
+    # face tuple through normalize_tuple.
     qc = build_quotient_complex(action, r_max, degrees, include_degenerate=ordered)
     assert sorted(qc.matrices) == [d for d in degrees if d - 1 in qc.bases]
     for d, matrix in qc.matrices.items():
         assert matrix.to_dense() == quotient_boundary_oracle(qc, d)
+
+
+@pytest.mark.parametrize("n, ordered, digest", [
+    (3, True, "be53e19a8c2a120fec5db13313d42d7b8491d9721ed965915502fb1adb9a1e82"),
+    (4, False, "6667f7da645be44817c20e26b4bc5017863373f71c46be337751a3f09b0e9d8a"),
+], ids=["T3-ordered", "T4-oriented"])
+def test_benchmark_complexes_are_pinned(n, ordered, digest):
+    # Too large for the dense oracle: bases, index and every matrix (shape
+    # and column dicts, in order) must hash as the tuple-slicing build did.
+    qc = build_quotient_complex(TranslationAction.standard(n), 1, range(n + 2),
+                                include_degenerate=ordered)
+    state = (qc.bases, qc.index, {d: (m.nrows, m.ncols, m.cols) for d, m in qc.matrices.items()})
+    assert hashlib.sha256(repr(state).encode()).hexdigest() == digest
+
+
+def test_quotient_build_cost_is_bounded(monkeypatch):
+    # Faces are digit arithmetic: no tuple is normalized, and one
+    # canonical_offset per (fundamental point, displacement code) at most.
+    calls = {"normalize_tuple": 0, "canonical_offset": 0}
+    for name in calls:
+        original = getattr(TranslationAction, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(TranslationAction, name, counted)
+    t3 = TranslationAction.standard(3)
+    qc = build_quotient_complex(t3, 1, range(5))
+    assert qc.basis_size(4) == 29_791
+    assert calls["normalize_tuple"] == 0
+    assert 0 < calls["canonical_offset"] <= len(t3.fundamental_points()) * 3 ** 3
 
 
 def test_quotient_matrices_compose_to_zero():

@@ -7,15 +7,18 @@ really patches and restores the evaluation bindings.
 
 import json
 
-from coarse_chains import FlatPair, fill, thom_crossing
+from coarse_chains import FlatPair, LatticeSpace, fill, thom_crossing, verify
+from coarse_chains.chains import push_tuplewise
 from coarse_chains.cli import main
 from coarse_chains.verify import (
     _patched_thom_sign,
     check_fill_boundary,
     check_filling_independence,
     check_snf_cross,
+    check_support_locality,
     check_transport,
 )
+from coarse_chains.wrongway import cap_thom
 
 
 def test_patched_thom_sign_restores_bindings():
@@ -51,6 +54,25 @@ def test_check_transport_reports_signs():
     ok, detail = check_transport()
     assert ok
     assert "T^2->T^1" in detail
+
+
+def test_support_locality_catches_a_stretched_projection(monkeypatch):
+    # The check bounds the propagation of wrong_way's output, which
+    # wrong_way does not build in: a projection that doubles tangential
+    # distances keeps the capped support local but must fail it.
+    ok, detail, nontrivial = check_support_locality(5, 10)
+    assert ok and nontrivial > 0
+    assert detail == f"capped support within propagation of the flat on {10 * len(verify.PAIR_SET)} chains"
+
+    def stretched(c, ctx):
+        pair = ctx.pair
+        return push_tuplewise(cap_thom(c, ctx),
+                              lambda p: tuple(2 * x for x in pair.tangential_part(p)),
+                              LatticeSpace(pair.flat_dim))
+
+    monkeypatch.setattr(verify, "wrong_way", stretched)
+    ok, detail, _ = check_support_locality(5, 10)
+    assert not ok and detail.startswith("wrong-way propagation above")
 
 
 def test_filling_independence_catches_the_thom_sign_mutation():
