@@ -25,12 +25,11 @@ from .intlinalg import (
     SmithSolver,
     SparseIntMatrix,
     adjugate,
+    class_coordinates,
     column_lattice_basis,
     det,
     kernel_basis,
-    mat_vec,
     pivot_columns,
-    snf_with_transforms,
     solve_int,  # noqa: F401 - still importable from here; perfbench's self-tests watch it
 )
 from .spaces import LatticeSpace, Point, Window
@@ -391,7 +390,8 @@ class QuotientComplex:
             lower, upper = self.matrices[d], self.matrices[d + 1]
             if lower.ncols != upper.nrows:
                 # The transpose-boundary verify mutation reports this message.
-                raise ValueError("shape mismatch in sparse multiply")
+                raise ValueError(f"cannot compose d_{d} ({lower.nrows} x {lower.ncols}) "
+                                 f"with d_{d + 1} ({upper.nrows} x {upper.ncols})")
             for upper_col in upper.cols:
                 # Column c of d_d d_{d+1} sums d_{d+1}[k, c] times column k of d_d.
                 product: dict[int, int] = {}
@@ -556,11 +556,11 @@ def snf_homology(complex_: QuotientComplex) -> HomologyReport:
 
 
 def identify_class(cycle: EquivariantChain, complex_: QuotientComplex) -> list[int]:
-    """Coordinates of an integral cycle's homology class in the SNF basis
-    of an ordered-basis complex.
-
-    Returns the free-part coordinates (torsion-free quotients here); the
-    basis is deterministic, so signs are stable run to run.
+    """Coordinates of an integral cycle's class in H_d of an ordered-basis
+    complex, in the basis dual to the essential cocycles of its coboundary
+    reduction (class_coordinates).  At non-unit lows (r_max >= 2) a small
+    exact Smith step adds cocycles and divides out coboundaries.  Only the
+    free part is seen: a torsion class reads as zero.
     """
     if cycle.group != INTEGERS:
         raise ValueError("class identification works with integer coefficients")
@@ -576,54 +576,12 @@ def identify_class(cycle: EquivariantChain, complex_: QuotientComplex) -> list[i
         raise ValueError("chain is not a cycle")
 
     idx = complex_.index[d]
-    dim = complex_.basis_size(d)
-    z = [0] * dim
-    for tup, coeff in cycle.terms.items():
-        pos = idx.get(tup)
-        if pos is None:
-            raise TruncationError(
-                f"cycle tuple {tup} exceeds the complex spread bound {complex_.r_max}")
-        z[pos] = coeff
-
-    # Integral basis of the cycle lattice in degree d (everything if the
-    # complex carries no boundary out of this degree), factored once: its
-    # full column rank makes every kernel coordinate below unique.
-    if d in complex_.matrices:
-        kernel_cols = kernel_basis(complex_.matrices[d].to_dense())
-    else:
-        kernel_cols = [[1 if i == j else 0 for i in range(dim)] for j in range(dim)]
-    k = len(kernel_cols)
-    kmat = [[kernel_cols[j][i] for j in range(k)] for i in range(dim)]
-    kernel = SmithSolver(kmat)
-    w = kernel.solve(z)
-    if w is None:
-        raise ValueError("cycle is not an integral combination of the kernel basis")
-
-    # Express the boundary image in kernel coordinates, one sparse column at
-    # a time, and diagonalize.  The kernel basis is saturated, so a column
-    # fails to solve exactly when d_d d_{d+1} != 0 on it.
-    bnd = complex_.matrices[d + 1]
-    n_cols = bnd.ncols
-    y_matrix = [[0] * n_cols for _ in range(k)]
-    for j, col in enumerate(bnd.cols):
-        y = kernel.solve_sparse(col)
-        if y is None:
-            raise ValueError("boundary image escaped the cycle lattice; "
-                             "the boundary matrices do not compose to zero")
-        for i, yi in enumerate(y):
-            if yi:
-                y_matrix[i][j] = yi
-
-    if n_cols:
-        dsnf, u, _ = snf_with_transforms(y_matrix)
-        diag = [dsnf[i][i] for i in range(min(k, n_cols))]
-    else:
-        u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-        diag = []
-    h = mat_vec(u, w)
-    rank_im = len([x for x in diag if x])
-    free = [h[i] for i in range(rank_im, k)]
-    torsion = [(h[i] % diag[i], diag[i]) for i in range(rank_im) if diag[i] > 1]
-    if any(t for t, _ in torsion):
-        raise ValueError(f"class has torsion coordinates {torsion}; free part {free}")
-    return free
+    outside = [tup for tup in cycle.terms if tup not in idx]
+    if outside:
+        raise TruncationError(
+            f"cycle tuple {outside[0]} exceeds the complex spread bound {complex_.r_max}")
+    if not complex_.composition_is_zero():  # pairings are class invariants only then
+        raise ValueError("boundary image escaped the cycle lattice; "
+                         "the boundary matrices do not compose to zero")
+    z = {idx[tup]: coeff for tup, coeff in cycle.terms.items()}
+    return class_coordinates(z, complex_.matrices[d + 1], complex_.matrices.get(d))

@@ -5,8 +5,8 @@ reduction, rational rows scaled to integers first): determinants above size
 3 (closed forms below), ranks and pivot columns.  Adjugates come from
 cofactors, with closed forms up to size 3.  Kernels and integral solving
 come from the Smith normal form.  Dense routines carry the unimodular
-transforms and are used where the coordinates matter (class
-identification).  Solving is "factor once, solve
+transforms and serve small matrices only (lattice coordinates, set-aside
+cores).  Solving is "factor once, solve
 many": SmithSolver keeps one Smith form of a matrix and answers every
 right-hand side against it by unimodular back-substitution, so a batch of
 solves costs one Smith form, not one per column.  SparseIntMatrix holds the
@@ -15,7 +15,7 @@ large boundary matrices of quotient complexes by column only, one
 Its reduction, as in persistent homology, only ever adds multiples of columns
 whose lowest entry is +-1 (unimodular operations only), and hands the small
 leftover core to the dense routine, so ranks and invariant factors stay exact.
-Homology reduces coboundaries (transposed boundaries, same Smith form) in
+Homology and class coordinates reduce coboundaries (transposed boundaries) in
 rising degree with clearing, as Ripser does: the column at each unit-pivot low
 of one degree is skipped in the next, since a unimodular operation zeroes it.
 """
@@ -246,42 +246,24 @@ class SmithSolver:
 
     With D = U A V, A x = b holds exactly when x = V y and D y = U b: the
     i-th invariant factor must divide (U b)_i, and (U b)_i must vanish past
-    the rank.  U and V are kept column-wise and sparse, so a right-hand side
-    with few nonzeros costs only the columns it touches.
+    the rank.
     """
 
     def __init__(self, a: Matrix) -> None:
-        d, u, v = snf_with_transforms(a)
+        d, self._u, v = snf_with_transforms(a)
         self.nrows = len(a)
-        self.ncols = len(a[0]) if a else 0
         self.factors = [x for x in diagonal(d) if x]
-        self._u_cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*u)]
-        self._v_cols = [[(i, row[j]) for i, row in enumerate(v) if row[j]]
-                        for j in range(len(self.factors))]
+        self._v = [row[:len(self.factors)] for row in v]
 
     def solve(self, b: Sequence[int]) -> list[int] | None:
         """One integral solution of A x = b, or None if there is none."""
         if len(b) != self.nrows:
             raise ValueError(f"right-hand side has {len(b)} entries, matrix has {self.nrows} rows")
-        return self.solve_sparse({i: x for i, x in enumerate(b) if x})
-
-    def solve_sparse(self, b: Mapping[int, int]) -> list[int] | None:
-        """As solve, with b given as {row: value} over its nonzero rows."""
-        ub = [0] * self.nrows
-        for j, x in b.items():
-            for i, uij in self._u_cols[j]:
-                ub[i] += uij * x
-        x_out = [0] * self.ncols
-        for i, di in enumerate(self.factors):
-            yi, rem = divmod(ub[i], di)
-            if rem:
-                return None
-            if yi:
-                for r, vri in self._v_cols[i]:
-                    x_out[r] += vri * yi
-        if any(ub[len(self.factors):]):
+        ub = mat_vec(self._u, b)
+        y = [divmod(x, di) for x, di in zip(ub, self.factors)]
+        if any(rem for _, rem in y) or any(ub[len(self.factors):]):
             return None
-        return x_out
+        return mat_vec(self._v, [q for q, _ in y])
 
 
 def solve_int(a: Matrix, b: Sequence[int]) -> list[int] | None:
@@ -304,6 +286,71 @@ def column_lattice_basis(a: Matrix) -> Matrix:
 
 # -- sparse reduction ------------------------------------------------------
 
+Column = dict[int, int]
+
+
+def _cancel(col: Column, pivots: Mapping[int, Column], exhaust: bool) -> int | None:
+    """Cancel col's entries from the highest row down against the pivot with
+    that low; each step lowers the row, so there are <= nrows steps.
+    Returns the first low without a pivot, unless exhausting past it."""
+    heap = sorted(-r for r in col)
+    while heap:
+        low = -heapq.heappop(heap)
+        pivot = pivots.get(low)
+        if low not in col or (pivot is None and exhaust):
+            continue
+        if pivot is None:
+            return low
+        factor = col[low] * pivot[low]
+        for r, v in pivot.items():
+            new = col.get(r, 0) - factor * v
+            if not new:
+                del col[r]
+                continue
+            if r not in col:
+                heapq.heappush(heap, -r)
+            col[r] = new
+    return None
+
+
+def _reduce_columns(cols: Iterable[Column], cleared: Container[int] = (),
+                   zeros: list[tuple[int, Column]] | None = None
+                   ) -> tuple[dict[int, Column], list[tuple[int, Column]]]:
+    """Reduce columns in order against earlier columns whose lowest
+    (largest-row) entry is +-1, so every step is unimodular, skipping those
+    in `cleared` and empty ones.  Returns these unit pivots by low and
+    (index, copy) of each column left with a non-unit low; `zeros` receives
+    (index, column) of each column that reduces to zero.  Rows below 0 are
+    never pivoted on, so a caller may carry the column transform there.
+    """
+    pivots: dict[int, Column] = {}
+    aside: list[tuple[int, Column]] = []
+    for j, col in enumerate(cols):
+        if not col or j in cleared:
+            continue
+        low = max(col)
+        if low in pivots:
+            col = dict(col)
+            low = _cancel(col, pivots, False)
+        if low is None or low < 0:
+            if zeros is not None:
+                zeros.append((j, col))
+            continue
+        # A column no pivot touched becomes a pivot as it stands: pivots
+        # are only read.  Set-aside columns are reduced further, so copied.
+        if col[low] in (1, -1):
+            pivots[low] = col
+        else:
+            aside.append((j, dict(col)))
+    return pivots, aside
+
+
+def _dense(cols: list[Column]) -> Matrix:
+    """The columns' rows >= 0, densely, on the rows they touch (or one zero row)."""
+    rows = sorted({r for col in cols for r in col if r >= 0})
+    return [[col.get(r, 0) for col in cols] for r in rows] or [[0] * len(cols)]
+
+
 class SparseIntMatrix:
     """Sparse integer matrix stored by column: cols[j] maps row -> nonzero value."""
 
@@ -311,7 +358,7 @@ class SparseIntMatrix:
                  entries: Iterable[tuple[int, int, int]] = ()) -> None:
         self.nrows = nrows
         self.ncols = ncols
-        self.cols: list[dict[int, int]] = [{} for _ in range(ncols)]
+        self.cols: list[Column] = [{} for _ in range(ncols)]
         for r, c, v in entries:
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise ValueError(f"entry {(r, c, v)} lies outside a {nrows} x {ncols} matrix")
@@ -324,13 +371,6 @@ class SparseIntMatrix:
 
     def nnz(self) -> int:
         return sum(map(len, self.cols))
-
-    def to_dense(self) -> Matrix:
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for c, col in enumerate(self.cols):
-            for r, v in col.items():
-                out[r][c] = v
-        return out
 
     def transposed(self) -> "SparseIntMatrix":
         # Stored entries are in range, nonzero and one per place: no checks.
@@ -345,11 +385,9 @@ class SparseIntMatrix:
                          unit_lows: set[int] | None = None) -> tuple[int, list[int]]:
         """Exact rank and invariant factors; the matrix is left unchanged.
 
-        Columns are reduced in order against earlier columns whose lowest
-        (largest-row) entry is +-1, so every step is a unimodular column
-        operation.  Those pivot columns form a triangular block with a unit
-        diagonal.  A column left with a non-unit low is set aside, reduced on
-        every pivot row and handed, with the others, to the dense Smith routine.
+        The columns go through _reduce_columns.  Each set-aside column is
+        then reduced on every pivot row and handed, with the others, to the
+        dense Smith routine.
 
         Clearing: the columns indexed in `cleared` are skipped, and the lows
         of this matrix's unit pivots are added to `unit_lows` when it is
@@ -360,58 +398,58 @@ class SparseIntMatrix:
         putting R into column i of the identity gives a unimodular V,
         triangular up to signs, with delta_d V zero in column i.
         """
-        pivots: dict[int, dict[int, int]] = {}
-
-        def reduce(col: dict[int, int], exhaust: bool) -> int | None:
-            # Cancel entries from the highest row down against the pivot with
-            # that low; each step lowers the row, so there are <= nrows steps.
-            # Returns the first low without a pivot, unless exhausting past it.
-            heap = sorted(-r for r in col)
-            while heap:
-                low = -heapq.heappop(heap)
-                pivot = pivots.get(low)
-                if low not in col or (pivot is None and exhaust):
-                    continue
-                if pivot is None:
-                    return low
-                factor = col[low] * pivot[low]
-                for r, v in pivot.items():
-                    new = col.get(r, 0) - factor * v
-                    if not new:
-                        del col[r]
-                        continue
-                    if r not in col:
-                        heapq.heappush(heap, -r)
-                    col[r] = new
-            return None
-
-        aside: list[dict[int, int]] = []
-        for j, col in enumerate(self.cols):
-            if not col or j in cleared:
-                continue
-            low = max(col)
-            if low in pivots:
-                col = dict(col)
-                low = reduce(col, False)
-                if low is None:
-                    continue
-            # A column no pivot touched becomes a pivot as it stands: pivots
-            # are only read.  Set-aside columns are reduced further, so copied.
-            if col[low] in (1, -1):
-                pivots[low] = col
-            else:
-                aside.append(dict(col))
+        pivots, aside = _reduce_columns(self.cols, cleared)
         if unit_lows is not None:
             unit_lows.update(pivots)
         factors = [1] * len(pivots)
-        for col in aside:
-            reduce(col, True)
-        core = [col for col in aside if col]
+        for _, col in aside:
+            _cancel(col, pivots, True)
+        core = [col for _, col in aside if col]
         if core:
-            rmap = {r: i for i, r in enumerate(sorted({r for col in core for r in col}))}
-            dense = [[0] * len(core) for _ in rmap]
-            for j, col in enumerate(core):
-                for r, v in col.items():
-                    dense[rmap[r]][j] = v
-            factors.extend(invariant_factors(dense))
+            factors.extend(invariant_factors(_dense(core)))
         return len(factors), factors
+
+
+def class_coordinates(z: Mapping[int, int], upper: SparseIntMatrix,
+                      lower: SparseIntMatrix | None = None) -> list[int]:
+    """Free coordinates of the class of the cycle z = {row: value} of C_d, for
+    boundaries upper: C_{d+1} -> C_d and lower: C_d -> C_{d-1} (None: all of
+    C_d are cycles) that compose to zero.
+
+    lower^T is reduced, then upper^T with clearing on its unit lows and with
+    its transform V in rows -1 - k.  Each uncleared column reducing to zero
+    leaves a cocycle psi, and the coordinates are the pairings <psi, z>.
+    Past non-unit lows, the kernel of upper^T's exhausted set-aside core adds
+    cocycles, lower^T's set-aside coboundaries, solved top-down through the
+    unit-triangular V from before exhausting, give relations, and the
+    coordinates solve K x = pairings for a kernel basis K of the relations.
+    """
+    cleared, coboundaries = ({}, []) if lower is None else _reduce_columns(lower.transposed().cols)
+    cols = [col | {-1 - i: 1} for i, col in enumerate(upper.transposed().cols)]
+    zeros: list[tuple[int, Column]] = []
+    pivots, aside = _reduce_columns(cols, cleared, zeros)
+
+    def pairing(col: Column) -> int:
+        return sum(v * z.get(-1 - r, 0) for r, v in col.items() if r < 0)
+
+    pairings = [pairing(col) for _, col in zeros]
+    if not aside and not coboundaries:
+        return pairings
+    # V column i ends in row i with a 1; row -1 - i counts what a solve takes off.
+    basis = dict(cleared)
+    for col in [col for _, col in zeros + aside] + list(pivots.values()):
+        basis[-1 - min(col)] = {-1 - r: v for r, v in col.items() if r < 0} | {min(col): 1}
+    for _, col in aside:
+        _cancel(col, pivots, True)
+    kernel = kernel_basis(_dense([col for _, col in aside]))
+    pairings += [sum(k * pairing(col) for k, (_, col) in zip(vec, aside)) for vec in kernel]
+    in_kernel = SmithSolver([[vec[s] for vec in kernel] for s in range(len(aside))])
+    relations = []
+    for _, col in coboundaries:
+        _cancel(col, basis, True)
+        coeffs = [-col.get(-1 - j, 0) for j, _ in zeros + aside]
+        relations.append(coeffs[:len(zeros)] + in_kernel.solve(coeffs[len(zeros):]))
+    if not relations or not pairings:
+        return pairings
+    free = kernel_basis(relations)
+    return SmithSolver([[vec[i] for vec in free] for i in range(len(pairings))]).solve(pairings)

@@ -9,12 +9,27 @@ cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd
 
-from coarse_chains import AffineSimplex, FlatPair, LatticeSpace, TranslationAction
+from coarse_chains import (
+    INTEGERS,
+    AffineSimplex,
+    EquivariantChain,
+    FlatPair,
+    LatticeSpace,
+    TranslationAction,
+    TruncationError,
+    boundary,
+)
 from coarse_chains.equivariant import QuotientComplex
-from coarse_chains.intlinalg import SparseIntMatrix
+from coarse_chains.intlinalg import (
+    SmithSolver,
+    SparseIntMatrix,
+    kernel_basis,
+    mat_vec,
+    snf_with_transforms,
+)
 
 
 def crossing_oracle_q1(y0, y1) -> int:
@@ -102,6 +117,15 @@ def quotient_boundary_oracle(qc: QuotientComplex, d: int) -> list[list[int]]:
     for col, tup in enumerate(qc.bases[d]):
         for j in range(len(tup)):
             out[row[qc.action.normalize_tuple(tup[:j] + tup[j + 1:])]][col] += (-1) ** j
+    return out
+
+
+def to_dense(a: SparseIntMatrix) -> list[list[int]]:
+    """A column-stored sparse matrix as a list of rows."""
+    out = [[0] * a.ncols for _ in range(a.nrows)]
+    for c, col in enumerate(a.cols):
+        for r, v in col.items():
+            out[r][c] = v
     return out
 
 
@@ -266,3 +290,91 @@ def crossing_number_oracle(normals, perturb: bool, eps: Fraction = EPSILON) -> i
     if any(x == 0 for x in coords):
         return None
     return 1 if d > 0 else -1
+
+
+def staircase_cycle(n: int, axes) -> EquivariantChain:
+    """The coordinate subtorus on `axes` of the torus Z^n / Z^n as an integral
+    cycle: the signed staircase simplices over the permutations of the axes
+    (a point when there are none)."""
+    terms = []
+    for perm in permutations(axes):
+        vertices = [(0,) * n]
+        for axis in perm:
+            vertices.append(tuple(c + (i == axis) for i, c in enumerate(vertices[-1])))
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        terms.append((tuple(vertices), (-1) ** inversions))
+    return EquivariantChain(len(axes), TranslationAction.standard(n), INTEGERS, terms)
+
+
+def dense_class_oracle(cycle: EquivariantChain, complex_: QuotientComplex) -> list[int]:
+    """Class coordinates by dense Smith forms, the reference for
+    identify_class: an integral basis of the cycle lattice from the Smith
+    form of a densified d_d, the boundaries of C_{d+1} in its coordinates,
+    and the Smith form of that matrix with its row transform.  The free
+    coordinates of the cycle are the rows of the transform past the rank;
+    a class with nonzero torsion coordinates raises."""
+    if cycle.group != INTEGERS:
+        raise ValueError("class identification works with integer coefficients")
+    if cycle.action != complex_.action:
+        raise ValueError("cycle and complex use different actions")
+    d = cycle.degree
+    if d not in complex_.bases or d + 1 not in complex_.matrices:
+        raise ValueError(f"complex does not cover degree {d} (need degree {d + 1} too)")
+    if not complex_.include_degenerate:
+        raise ValueError("class identification needs the ordered basis "
+                         "(include_degenerate=True), not the oriented one")
+    if d >= 1 and not boundary(cycle).is_zero():
+        raise ValueError("chain is not a cycle")
+
+    idx = complex_.index[d]
+    dim = complex_.basis_size(d)
+    z = [0] * dim
+    for tup, coeff in cycle.terms.items():
+        pos = idx.get(tup)
+        if pos is None:
+            raise TruncationError(
+                f"cycle tuple {tup} exceeds the complex spread bound {complex_.r_max}")
+        z[pos] = coeff
+
+    # Integral basis of the cycle lattice in degree d (everything if the
+    # complex carries no boundary out of this degree), factored once: its
+    # full column rank makes every kernel coordinate below unique.
+    if d in complex_.matrices:
+        kernel_cols = kernel_basis(to_dense(complex_.matrices[d]))
+    else:
+        kernel_cols = [[1 if i == j else 0 for i in range(dim)] for j in range(dim)]
+    k = len(kernel_cols)
+    kmat = [[kernel_cols[j][i] for j in range(k)] for i in range(dim)]
+    kernel = SmithSolver(kmat)
+    w = kernel.solve(z)
+    if w is None:
+        raise ValueError("cycle is not an integral combination of the kernel basis")
+
+    # Express the boundary image in kernel coordinates, one column at a
+    # time, and diagonalize.  The kernel basis is saturated, so a column
+    # fails to solve exactly when d_d d_{d+1} != 0 on it.
+    bnd = complex_.matrices[d + 1]
+    n_cols = bnd.ncols
+    y_matrix = [[0] * n_cols for _ in range(k)]
+    for j, col in enumerate(bnd.cols):
+        y = kernel.solve([col.get(i, 0) for i in range(dim)])
+        if y is None:
+            raise ValueError("boundary image escaped the cycle lattice; "
+                             "the boundary matrices do not compose to zero")
+        for i, yi in enumerate(y):
+            if yi:
+                y_matrix[i][j] = yi
+
+    if n_cols:
+        dsnf, u, _ = snf_with_transforms(y_matrix)
+        diag = [dsnf[i][i] for i in range(min(k, n_cols))]
+    else:
+        u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+        diag = []
+    h = mat_vec(u, w)
+    rank_im = len([x for x in diag if x])
+    free = [h[i] for i in range(rank_im, k)]
+    torsion = [(h[i] % diag[i], diag[i]) for i in range(rank_im) if diag[i] > 1]
+    if any(t for t, _ in torsion):
+        raise ValueError(f"class has torsion coordinates {torsion}; free part {free}")
+    return free

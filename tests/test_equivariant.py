@@ -30,8 +30,14 @@ from coarse_chains import (
 )
 from coarse_chains import intlinalg
 from coarse_chains.equivariant import MAX_BASIS_SIZE, QuotientComplex, predicted_basis_size
-from coarse_chains.intlinalg import SparseIntMatrix, invariant_factors, kernel_basis
+from coarse_chains.intlinalg import (
+    SparseIntMatrix,
+    class_coordinates,
+    invariant_factors,
+    kernel_basis,
+)
 from oracles import (
+    dense_class_oracle,
     det_oracle,
     frac_rank_oracle,
     is_canonical,
@@ -41,6 +47,8 @@ from oracles import (
     quotient_boundary_oracle,
     sparse_is_zero,
     sparse_multiply,
+    staircase_cycle,
+    to_dense,
 )
 
 Z_ACT = TranslationAction.standard(1)
@@ -579,7 +587,7 @@ def test_quotient_boundaries_match_brute_force(action, r_max, degrees, ordered):
     qc = build_quotient_complex(action, r_max, degrees, include_degenerate=ordered)
     assert sorted(qc.matrices) == [d for d in degrees if d - 1 in qc.bases]
     for d, matrix in qc.matrices.items():
-        assert matrix.to_dense() == quotient_boundary_oracle(qc, d)
+        assert to_dense(matrix) == quotient_boundary_oracle(qc, d)
 
 
 @pytest.mark.parametrize("n, ordered, digest", [
@@ -726,12 +734,12 @@ def test_torus_homology_cross_checked(n):
 
     qc = build_quotient_complex(TranslationAction.standard(n), 1, range(n + 2))
     sizes = {d: qc.basis_size(d) for d in qc.degrees}
-    ranks = {d: frac_rank_oracle(m.to_dense()) for d, m in qc.matrices.items()}
+    ranks = {d: frac_rank_oracle(to_dense(m)) for d, m in qc.matrices.items()}
     report = snf_homology(qc)
     for entry in report.entries:
         d = entry.degree
         assert entry.betti == sizes[d] - ranks.get(d, 0) - ranks.get(d + 1, 0)
-        dense = qc.matrices[d + 1].to_dense()
+        dense = to_dense(qc.matrices[d + 1])
         snf = smith_normal_form(sympy.Matrix(dense))
         factors = [abs(int(snf[i, i]))
                    for i in range(min(len(dense), len(dense[0])))
@@ -907,6 +915,107 @@ def test_identify_rejects_boundary_outside_cycle_lattice():
     cycle = EquivariantChain(1, Z_ACT, INTEGERS, {((0,), (0,)): 1})
     with pytest.raises(ValueError, match="escaped the cycle lattice"):
         identify_class(cycle, qc)
+
+
+def _seeded_cycle(qc, n, d, rng):
+    """An integer combination of the coordinate-subtorus cycles of degree d
+    plus the boundary of a random (d+1)-chain of the complex."""
+    z = EquivariantChain(d, qc.action, INTEGERS, {})
+    for axes in itertools.combinations(range(n), d):
+        z = z + staircase_cycle(n, axes).scale(rng.randint(-3, 3))
+    terms = {rng.choice(qc.bases[d + 1]): rng.randint(-2, 2) for _ in range(rng.randint(0, 4))}
+    return z + boundary(EquivariantChain(d + 1, qc.action, INTEGERS, terms))
+
+
+@pytest.mark.parametrize("n, r_max, d", [
+    (1, 1, 0), (1, 1, 1), (1, 1, 2), (2, 1, 0), (2, 1, 1), (2, 1, 2),
+    # Non-unit lows: the reduction of delta_1 = d_2^T sets aside 3 columns
+    # on T^2 at r_max 2, and 1 (2) on T^1 at r_max 2 (3); in degree 2 the
+    # set-aside coboundaries become relations.
+    (1, 2, 0), (1, 2, 1), (1, 2, 2), (1, 3, 0), (1, 3, 1), (1, 3, 2), (2, 2, 1),
+])
+def test_identify_class_matches_dense_oracle(n, r_max, d):
+    qc = build_quotient_complex(TranslationAction.standard(n), r_max, range(d + 2))
+    rng = random.Random(100 * n + 10 * r_max + d)
+    nonzero = 0
+    for _ in range(12):
+        z = _seeded_cycle(qc, n, d, rng)
+        coords = identify_class(z, qc)
+        assert coords == dense_class_oracle(z, qc)
+        nonzero += any(coords)
+    assert nonzero >= (6 if d <= n else 0)
+
+
+@pytest.fixture(scope="module")
+def torus3():
+    return build_quotient_complex(TranslationAction.standard(3), 1, range(5))
+
+
+@pytest.mark.parametrize("n, r_max, d", [(2, 2, 2), (3, 1, 1), (3, 1, 2), (3, 1, 3)])
+def test_identify_class_is_a_basis_where_the_oracle_cannot_run(n, r_max, d, torus3):
+    # Too large for the dense oracle (4,225 tuples in degree 3 of T^2 at
+    # r_max 2, 29,791 in degree 4 of T^3).  A linear map that kills
+    # boundaries and sends the coordinate subtori to a unimodular matrix is
+    # a basis of H_d.
+    qc = torus3 if n == 3 else build_quotient_complex(
+        TranslationAction.standard(n), r_max, range(d + 2))
+    gens = [staircase_cycle(n, axes) for axes in itertools.combinations(range(n), d)]
+    images = [identify_class(g, qc) for g in gens]
+    assert abs(det_oracle(images)) == 1
+    rng = random.Random(n + d)
+    terms = {rng.choice(qc.bases[d + 1]): rng.randint(-3, 3) for _ in range(6)}
+    x = EquivariantChain(d + 1, qc.action, INTEGERS, terms)
+    assert identify_class(boundary(x), qc) == [0] * len(gens)
+    weights = [rng.randint(-4, 4) for _ in gens]
+    z = boundary(x)
+    for g, w in zip(gens, weights):
+        z = z + g.scale(w)
+    assert identify_class(z, qc) == [sum(w * row[i] for w, row in zip(weights, images))
+                                     for i in range(len(gens))]
+
+
+def test_class_coordinates_on_random_complexes():
+    # Hand-made complexes with torsion and non-unit lows: on a basis of the
+    # cycles the coordinates are onto Z^betti, and boundaries read zero.
+    rng = random.Random(15)
+    free = torsion = 0
+    for _ in range(40):
+        boundaries = _random_chain_complex(rng)
+        want = _dense_homology_oracle(boundaries)
+        for k, betti, factors in want:
+            torsion += bool(factors)
+            lower = _sparse(boundaries[k - 1]) if k else None
+            upper = _sparse(boundaries[k])
+            dim = upper.nrows
+            cycles = kernel_basis(boundaries[k - 1]) if k else [
+                [int(i == j) for i in range(dim)] for j in range(dim)]
+            coords = [class_coordinates(dict(enumerate(c)), upper, lower) for c in cycles]
+            assert all(len(row) == betti for row in coords)
+            if betti:
+                assert invariant_factors(coords) == [1] * betti
+                free += 1
+            for col in upper.cols:
+                assert class_coordinates(col, upper, lower) == [0] * betti
+    assert free >= 25 and torsion >= 10
+
+
+def test_identify_class_runs_no_dense_smith_form_at_unit_lows(monkeypatch, torus3):
+    # At r_max 1 every low is a unit, so the class is read off the sparse
+    # coboundary reduction alone.
+    calls = [0]
+    original = intlinalg.snf_with_transforms
+
+    def counted(a):
+        calls[0] += 1
+        return original(a)
+
+    monkeypatch.setattr(intlinalg, "snf_with_transforms", counted)
+    torus2 = build_quotient_complex(Z2_ACT, 1, range(4))
+    for n, qc in ((2, torus2), (3, torus3)):
+        for d in range(n + 1):
+            for axes in itertools.combinations(range(n), d):
+                assert len(identify_class(staircase_cycle(n, axes), qc)) == math.comb(n, d)
+    assert calls[0] == 0
 
 
 def test_homology_report_json():

