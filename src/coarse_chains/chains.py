@@ -21,14 +21,9 @@ ChainTuple = tuple[Point, ...]
 
 
 def tuple_length(space: LatticeSpace, tup: ChainTuple) -> int:
-    """Maximal pairwise sup-distance among the tuple's points (0 for singletons)."""
-    m = 0
-    for i in range(len(tup)):
-        for j in range(i + 1, len(tup)):
-            d = space.distance(tup[i], tup[j])
-            if d > m:
-                m = d
-    return m
+    """Maximal pairwise sup-distance among the tuple's points (0 for singletons):
+    the largest spread max - min of one coordinate."""
+    return max((max(axis) - min(axis) for axis in zip(*tup)), default=0)
 
 
 def tuple_distance(space: LatticeSpace, a: ChainTuple, b: ChainTuple) -> int:
@@ -247,16 +242,8 @@ def uf_norm(c: UfChain, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("norm weight must be >= 0")
-    best = Fraction(0)
-    for tup, coeff in c.terms.items():
-        length = tuple_length(c.space, tup)
-        if length == 0:
-            value = c.group.norm(coeff) if n == 0 else Fraction(0)
-        else:
-            value = c.group.norm(coeff) * Fraction(length) ** n
-        if value > best:
-            best = value
-    return best
+    return max((c.group.norm(coeff) * Fraction(tuple_length(c.space, tup)) ** n
+                for tup, coeff in c.terms.items()), default=Fraction(0))
 
 
 def frechet_seminorm(c: UfChain, n: int) -> Fraction:

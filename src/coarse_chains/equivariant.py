@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from math import comb
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -22,10 +22,10 @@ from .coeffs import CoefficientGroup, Element, INTEGERS
 from .geometry import FlatPair
 from .geometry import thom_crossing  # noqa: F401 - the thom-sign mutation and perfbench patch it
 from .intlinalg import (
+    CoboundaryReduction,
     SmithSolver,
     SparseIntMatrix,
     adjugate,
-    class_coordinates,
     column_lattice_basis,
     det,
     kernel_basis,
@@ -381,26 +381,10 @@ class QuotientComplex:
     def basis_size(self, degree: int) -> int:
         return len(self.bases.get(degree, []))
 
-    def composition_is_zero(self) -> bool:
-        """Whether every d_d d_{d+1} vanishes, read one product column at a
-        time and stopping at the first nonzero one."""
-        for d in self.degrees:
-            if d not in self.matrices or d + 1 not in self.matrices:
-                continue
-            lower, upper = self.matrices[d], self.matrices[d + 1]
-            if lower.ncols != upper.nrows:
-                # The transpose-boundary verify mutation reports this message.
-                raise ValueError(f"cannot compose d_{d} ({lower.nrows} x {lower.ncols}) "
-                                 f"with d_{d + 1} ({upper.nrows} x {upper.ncols})")
-            for upper_col in upper.cols:
-                # Column c of d_d d_{d+1} sums d_{d+1}[k, c] times column k of d_d.
-                product: dict[int, int] = {}
-                for k, w in upper_col.items():
-                    for r, v in lower.cols[k].items():
-                        product[r] = product.get(r, 0) + w * v
-                if any(product.values()):
-                    return False
-        return True
+    @cached_property
+    def reduction(self) -> CoboundaryReduction:
+        """The one reduction of this complex's coboundaries, built on first use."""
+        return CoboundaryReduction(self.matrices)
 
 
 def build_quotient_complex(
@@ -527,40 +511,22 @@ class HomologyReport:
 
 
 def snf_homology(complex_: QuotientComplex) -> HomologyReport:
-    """Integral homology of the quotient complex via Smith normal form.
-
+    """Integral homology of the quotient complex, read off its reduction.
     Degree d is reportable when the complex carries the boundary from
-    degree d+1; the top truncation degree only serves as relations.
-    """
-    if not complex_.composition_is_zero():
-        raise ValueError("boundary matrices do not compose to zero; not a complex")
-    # Each d_d is reduced as its coboundary d_d^T, which has the same Smith
-    # form, in rising degree: a unit-pivot low of one degree clears that
-    # column of the next (exact only because d d = 0, checked above).
-    ranks: dict[int, int] = {}
-    factors: dict[int, list[int]] = {}
-    lows: dict[int, set[int]] = {}
-    for d in sorted(complex_.matrices):
-        lows[d] = set()
-        ranks[d], factors[d] = complex_.matrices[d].transposed().rank_and_factors(
-            lows.pop(d - 1, ()), lows[d])
-    entries = []
-    for d in complex_.degrees:
-        if d + 1 not in complex_.matrices:
-            continue
-        dim = complex_.basis_size(d)
-        betti = dim - ranks.get(d, 0) - ranks.get(d + 1, 0)
-        torsion = tuple(x for x in factors.get(d + 1, []) if x > 1)
-        entries.append(DegreeHomology(d, betti, torsion))
-    return HomologyReport(entries)
+    degree d+1; the top truncation degree only serves as relations."""
+    ranks = complex_.reduction.ranks
+    return HomologyReport([
+        DegreeHomology(d, complex_.basis_size(d) - ranks.get(d, (0,))[0] - ranks[d + 1][0],
+                       tuple(x for x in ranks[d + 1][1] if x > 1))
+        for d in complex_.degrees if d + 1 in ranks])
 
 
 def identify_class(cycle: EquivariantChain, complex_: QuotientComplex) -> list[int]:
     """Coordinates of an integral cycle's class in H_d of an ordered-basis
-    complex, in the basis dual to the essential cocycles of its coboundary
-    reduction (class_coordinates).  At non-unit lows (r_max >= 2) a small
-    exact Smith step adds cocycles and divides out coboundaries.  Only the
-    free part is seen: a torsion class reads as zero.
+    complex, dual to the essential cocycles of the complex's one coboundary
+    reduction (CoboundaryReduction.class_coordinates).  At non-unit lows
+    (r_max >= 2) a small exact Smith step adds cocycles and divides out
+    coboundaries.  Only the free part is seen: a torsion class reads as zero.
     """
     if cycle.group != INTEGERS:
         raise ValueError("class identification works with integer coefficients")
@@ -580,8 +546,5 @@ def identify_class(cycle: EquivariantChain, complex_: QuotientComplex) -> list[i
     if outside:
         raise TruncationError(
             f"cycle tuple {outside[0]} exceeds the complex spread bound {complex_.r_max}")
-    if not complex_.composition_is_zero():  # pairings are class invariants only then
-        raise ValueError("boundary image escaped the cycle lattice; "
-                         "the boundary matrices do not compose to zero")
     z = {idx[tup]: coeff for tup, coeff in cycle.terms.items()}
-    return class_coordinates(z, complex_.matrices[d + 1], complex_.matrices.get(d))
+    return complex_.reduction.class_coordinates(d, z)

@@ -15,15 +15,16 @@ large boundary matrices of quotient complexes by column only, one
 Its reduction, as in persistent homology, only ever adds multiples of columns
 whose lowest entry is +-1 (unimodular operations only), and hands the small
 leftover core to the dense routine, so ranks and invariant factors stay exact.
-Homology and class coordinates reduce coboundaries (transposed boundaries) in
-rising degree with clearing, as Ripser does: the column at each unit-pivot low
-of one degree is skipped in the next, since a unimodular operation zeroes it.
+CoboundaryReduction reduces a chain complex once, as Ripser does: it checks
+d d = 0 once, reduces the coboundaries (transposed boundaries) in rising degree
+with clearing, and reads off homology ranks and, per degree asked for, cocycles.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Container, Iterable, Mapping, Sequence
 
@@ -237,8 +238,7 @@ def kernel_basis(a: Matrix) -> list[list[int]]:
     """Columns spanning ker(A) over Z (an integral basis)."""
     d, _, v = snf_with_transforms(a)
     r = len([x for x in diagonal(d) if x])
-    n = len(v)
-    return [[v[i][j] for i in range(n)] for j in range(r, n)]
+    return [[row[j] for row in v] for j in range(r, len(v))]
 
 
 class SmithSolver:
@@ -387,16 +387,9 @@ class SparseIntMatrix:
 
         The columns go through _reduce_columns.  Each set-aside column is
         then reduced on every pivot row and handed, with the others, to the
-        dense Smith routine.
-
-        Clearing: the columns indexed in `cleared` are skipped, and the lows
-        of this matrix's unit pivots are added to `unit_lows` when it is
-        given.  Skipping is exact when a unimodular column operation zeroes
-        each skipped column.  For coboundaries reduced in rising degree it
-        does at the unit-pivot lows of the degree below: a reduced column R
-        of delta_{d-1} with low i and entry +-1 there is a cocycle, so
-        putting R into column i of the identity gives a unimodular V,
-        triangular up to signs, with delta_d V zero in column i.
+        dense Smith routine.  The columns indexed in `cleared` are skipped
+        (exact where CoboundaryReduction.ranks clears), and the lows of the
+        unit pivots are added to `unit_lows` when it is given.
         """
         pivots, aside = _reduce_columns(self.cols, cleared)
         if unit_lows is not None:
@@ -410,46 +403,104 @@ class SparseIntMatrix:
         return len(factors), factors
 
 
-def class_coordinates(z: Mapping[int, int], upper: SparseIntMatrix,
-                      lower: SparseIntMatrix | None = None) -> list[int]:
-    """Free coordinates of the class of the cycle z = {row: value} of C_d, for
-    boundaries upper: C_{d+1} -> C_d and lower: C_d -> C_{d-1} (None: all of
-    C_d are cycles) that compose to zero.
+class CoboundaryReduction:
+    """A chain complex's coboundaries, reduced once and read many times, as
+    SmithSolver factors once and solves many.  It reads the boundaries
+    {d: d_d: C_d -> C_{d-1}}, transposes each at most once and checks d d = 0
+    once, before anything is read off."""
 
-    lower^T is reduced, then upper^T with clearing on its unit lows and with
-    its transform V in rows -1 - k.  Each uncleared column reducing to zero
-    leaves a cocycle psi, and the coordinates are the pairings <psi, z>.
-    Past non-unit lows, the kernel of upper^T's exhausted set-aside core adds
-    cocycles, lower^T's set-aside coboundaries, solved top-down through the
-    unit-triangular V from before exhausting, give relations, and the
-    coordinates solve K x = pairings for a kernel basis K of the relations.
-    """
-    cleared, coboundaries = ({}, []) if lower is None else _reduce_columns(lower.transposed().cols)
-    cols = [col | {-1 - i: 1} for i, col in enumerate(upper.transposed().cols)]
-    zeros: list[tuple[int, Column]] = []
-    pivots, aside = _reduce_columns(cols, cleared, zeros)
+    def __init__(self, boundaries: Mapping[int, SparseIntMatrix]) -> None:
+        self.boundaries = boundaries
+        self._checked = False
+        self._cocycles: dict[int, tuple[list[Column], SmithSolver | None]] = {}
 
-    def pairing(col: Column) -> int:
-        return sum(v * z.get(-1 - r, 0) for r, v in col.items() if r < 0)
+    def composes_to_zero(self) -> bool:
+        """Whether every d_d d_{d+1} vanishes, read one product column at a
+        time and stopping at the first nonzero one."""
+        for d in sorted(self.boundaries):
+            if d + 1 not in self.boundaries:
+                continue
+            lower, upper = self.boundaries[d], self.boundaries[d + 1]
+            if lower.ncols != upper.nrows:
+                # The transpose-boundary verify mutation reports this message.
+                raise ValueError(f"cannot compose d_{d} ({lower.nrows} x {lower.ncols}) "
+                                 f"with d_{d + 1} ({upper.nrows} x {upper.ncols})")
+            for upper_col in upper.cols:
+                # Column c of d_d d_{d+1} sums d_{d+1}[k, c] times column k of d_d.
+                product: dict[int, int] = {}
+                for k, w in upper_col.items():
+                    for r, v in lower.cols[k].items():
+                        product[r] = product.get(r, 0) + w * v
+                if any(product.values()):
+                    return False
+        return True
 
-    pairings = [pairing(col) for _, col in zeros]
-    if not aside and not coboundaries:
-        return pairings
-    # V column i ends in row i with a 1; row -1 - i counts what a solve takes off.
-    basis = dict(cleared)
-    for col in [col for _, col in zeros + aside] + list(pivots.values()):
-        basis[-1 - min(col)] = {-1 - r: v for r, v in col.items() if r < 0} | {min(col): 1}
-    for _, col in aside:
-        _cancel(col, pivots, True)
-    kernel = kernel_basis(_dense([col for _, col in aside]))
-    pairings += [sum(k * pairing(col) for k, (_, col) in zip(vec, aside)) for vec in kernel]
-    in_kernel = SmithSolver([[vec[s] for vec in kernel] for s in range(len(aside))])
-    relations = []
-    for _, col in coboundaries:
-        _cancel(col, basis, True)
-        coeffs = [-col.get(-1 - j, 0) for j, _ in zeros + aside]
-        relations.append(coeffs[:len(zeros)] + in_kernel.solve(coeffs[len(zeros):]))
-    if not relations or not pairings:
-        return pairings
-    free = kernel_basis(relations)
-    return SmithSolver([[vec[i] for vec in free] for i in range(len(pairings))]).solve(pairings)
+    def _check(self) -> None:
+        self._checked = self._checked or self.composes_to_zero()
+        if not self._checked:
+            raise ValueError("boundary matrices do not compose to zero; not a complex")
+
+    @cached_property
+    def _coboundaries(self) -> dict[int, SparseIntMatrix]:
+        return {d: m.transposed() for d, m in self.boundaries.items()}
+
+    @cached_property
+    def ranks(self) -> dict[int, tuple[int, list[int]]]:
+        """Rank and invariant factors of each d_d (all that is kept), from d_d^T
+        reduced in rising degree.  A unit-pivot low i of delta_{d-1} clears
+        column i of delta_d: its reduced column R is a cocycle with +-1 at i,
+        so R in column i of the identity is a unimodular V zeroing it."""
+        self._check()
+        ranks, lows = {}, {}
+        for d in sorted(self.boundaries):
+            lows[d] = set()
+            ranks[d] = self._coboundaries[d].rank_and_factors(lows.pop(d - 1, ()), lows[d])
+        return ranks
+
+    def class_coordinates(self, d: int, z: Mapping[int, int]) -> list[int]:
+        """Free coordinates of the class of the cycle z = {row: value} of C_d,
+        from its pairings with cocycles built on the first class of degree d."""
+        if d not in self._cocycles:
+            self._check()
+            self._cocycles[d] = self._cocycle_basis(d)
+        cocycles, solver = self._cocycles[d]
+        pairings = [sum(v * z.get(i, 0) for i, v in psi.items()) for psi in cocycles]
+        return pairings if solver is None else solver.solve(pairings)
+
+    def _cocycle_basis(self, d: int) -> tuple[list[Column], SmithSolver | None]:
+        """Cocycles {row of C_d: value}, and the solver for the coordinates
+        where non-unit lows leave relations.  d_d^T (if any) is reduced, then
+        d_{d+1}^T cleared on its unit lows, with its transform V in rows -1 - k:
+        each uncleared column reducing to zero leaves a cocycle.  Past non-unit
+        lows, the kernel of d_{d+1}^T's exhausted set-aside core adds cocycles,
+        and d_d^T's set-aside coboundaries, solved top-down through the V from
+        before exhausting, give relations; the coordinates solve K x = pairings
+        for a kernel basis K of the relations."""
+        cleared, coboundaries = (({}, []) if d not in self.boundaries
+                                 else _reduce_columns(self._coboundaries[d].cols))
+        cols = [col | {-1 - i: 1} for i, col in enumerate(self._coboundaries[d + 1].cols)]
+        zeros: list[tuple[int, Column]] = []
+        pivots, aside = _reduce_columns(cols, cleared, zeros)
+        cocycles = [{-1 - r: v for r, v in col.items() if r < 0} for _, col in zeros]
+        if not aside and not coboundaries:
+            return cocycles, None
+        # V column i ends in row i with a 1; row -1 - i counts what a solve takes off.
+        basis = dict(cleared)
+        for col in [col for _, col in zeros + aside] + list(pivots.values()):
+            basis[-1 - min(col)] = {-1 - r: v for r, v in col.items() if r < 0} | {min(col): 1}
+        for _, col in aside:
+            _cancel(col, pivots, True)
+        kernel = kernel_basis(_dense([col for _, col in aside]))
+        psis = [{-1 - r: v for r, v in col.items() if r < 0} for _, col in aside]
+        cocycles += [{i: sum(k * psi.get(i, 0) for k, psi in zip(vec, psis))
+                      for i in set().union(*psis)} for vec in kernel]
+        in_kernel = SmithSolver([[vec[s] for vec in kernel] for s in range(len(aside))])
+        relations = []
+        for _, col in coboundaries:
+            _cancel(col, basis, True)
+            coeffs = [-col.get(-1 - j, 0) for j, _ in zeros + aside]
+            relations.append(coeffs[:len(zeros)] + in_kernel.solve(coeffs[len(zeros):]))
+        if not relations or not cocycles:
+            return cocycles, None
+        free = kernel_basis(relations)
+        return cocycles, SmithSolver([[vec[i] for vec in free] for i in range(len(cocycles))])

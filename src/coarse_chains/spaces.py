@@ -41,9 +41,7 @@ class LatticeSpace:
     def distance(self, p: Point, q: Point) -> int:
         if len(p) != self.dim or len(q) != self.dim:
             raise ValueError("points of wrong dimension")
-        if self.dim == 0:
-            return 0
-        return max(abs(a - b) for a, b in zip(p, q))
+        return max((abs(a - b) for a, b in zip(p, q)), default=0)
 
     def to_json(self) -> dict:
         return {"kind": "lattice", "dim": self.dim}

@@ -189,8 +189,8 @@ def check_snf_cross(transpose_mutation: bool) -> tuple[bool, str]:
             qc.matrices[top] = qc.matrices[top].transposed()
         try:
             report = snf_homology(qc)
-            # Independent route: the same ranks from the transposed matrices.
-            ranks = {d: m.transposed().rank_and_factors()[0] for d, m in qc.matrices.items()}
+            # Second route: the boundaries, not the coboundaries snf_homology reduces.
+            ranks = {d: m.rank_and_factors()[0] for d, m in qc.matrices.items()}
         except ValueError as exc:
             return False, f"T^{n}: {exc}"
         betti = report.betti()

@@ -17,7 +17,7 @@ from coarse_chains import (
     push_tuplewise,
     uf_norm,
 )
-from coarse_chains.chains import tuple_distance
+from coarse_chains.chains import tuple_distance, tuple_length
 
 from conftest import ALL_GROUPS, random_chain
 
@@ -100,6 +100,22 @@ def test_chain_stats_empty():
 def test_chain_stats_propagation():
     c = UfChain(1, Z1, INTEGERS, {((0,), (4,)): 1})
     assert chain_stats(c).propagation == 4
+
+
+def test_tuple_length_matches_pairwise_definition(rng):
+    # The largest per-axis spread against the definition: the largest
+    # sup-distance over all vertex pairs, read coordinate by coordinate.
+    singletons = flat = 0
+    for _ in range(600):
+        dim = rng.randint(0, 4)
+        tup = tuple(tuple(rng.randint(-6, 6) for _ in range(dim))
+                    for _ in range(rng.randint(1, 6)))
+        pairwise = max(max((abs(a - b) for a, b in zip(p, q)), default=0)
+                       for p in tup for q in tup)
+        assert tuple_length(LatticeSpace(dim), tup) == pairwise
+        singletons += len(tup) == 1
+        flat += dim == 0
+    assert singletons >= 50 and flat >= 50
 
 
 def test_chain_stats_multiplicity_matches_recount(rng):

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import hashlib
 import heapq
 import itertools
@@ -31,8 +33,8 @@ from coarse_chains import (
 from coarse_chains import intlinalg
 from coarse_chains.equivariant import MAX_BASIS_SIZE, QuotientComplex, predicted_basis_size
 from coarse_chains.intlinalg import (
+    CoboundaryReduction,
     SparseIntMatrix,
-    class_coordinates,
     invariant_factors,
     kernel_basis,
 )
@@ -624,7 +626,7 @@ def test_quotient_build_cost_is_bounded(monkeypatch):
 
 def test_quotient_matrices_compose_to_zero():
     qc = build_quotient_complex(Z2_ACT, 1, range(4))
-    assert qc.composition_is_zero()
+    assert qc.reduction.composes_to_zero()
 
 
 def _sparse(rows, ncols=None):
@@ -658,7 +660,7 @@ def test_composition_is_zero_matches_product_oracle():
         m1, m2 = _sparse(d1), _sparse(d2)
         qc = QuotientComplex(action=Z_ACT, r_max=1, degrees=(0, 1, 2), bases={},
                              index={}, matrices={1: m1, 2: m2})
-        answers.append(qc.composition_is_zero())
+        answers.append(qc.reduction.composes_to_zero())
         assert answers[-1] == sparse_is_zero(sparse_multiply(m1, m2))
     assert set(answers) == {True, False}
 
@@ -911,9 +913,9 @@ def test_identify_rejects_boundary_outside_cycle_lattice():
         index={d: {t: i for i, t in enumerate(b)} for d, b in bases.items()},
         matrices={1: SparseIntMatrix(1, 2, [(0, 1, 1)]),
                   2: SparseIntMatrix(2, 1, [(1, 0, 1)])})
-    assert not qc.composition_is_zero()
+    assert not qc.reduction.composes_to_zero()
     cycle = EquivariantChain(1, Z_ACT, INTEGERS, {((0,), (0,)): 1})
-    with pytest.raises(ValueError, match="escaped the cycle lattice"):
+    with pytest.raises(ValueError, match="do not compose to zero; not a complex"):
         identify_class(cycle, qc)
 
 
@@ -935,13 +937,19 @@ def _seeded_cycle(qc, n, d, rng):
     (1, 2, 0), (1, 2, 1), (1, 2, 2), (1, 3, 0), (1, 3, 1), (1, 3, 2), (2, 2, 1),
 ])
 def test_identify_class_matches_dense_oracle(n, r_max, d):
-    qc = build_quotient_complex(TranslationAction.standard(n), r_max, range(d + 2))
+    # Every cycle after the first reads the cocycles the complex cached for
+    # degree d; a freshly built complex must give the same coordinates.
+    def build():
+        return build_quotient_complex(TranslationAction.standard(n), r_max, range(d + 2))
+
+    qc = build()
     rng = random.Random(100 * n + 10 * r_max + d)
     nonzero = 0
     for _ in range(12):
         z = _seeded_cycle(qc, n, d, rng)
         coords = identify_class(z, qc)
         assert coords == dense_class_oracle(z, qc)
+        assert coords == identify_class(z, build())
         nonzero += any(coords)
     assert nonzero >= (6 if d <= n else 0)
 
@@ -982,20 +990,20 @@ def test_class_coordinates_on_random_complexes():
     for _ in range(40):
         boundaries = _random_chain_complex(rng)
         want = _dense_homology_oracle(boundaries)
+        reduction = _complex_of(boundaries).reduction
         for k, betti, factors in want:
             torsion += bool(factors)
-            lower = _sparse(boundaries[k - 1]) if k else None
-            upper = _sparse(boundaries[k])
+            upper = reduction.boundaries[k + 1]
             dim = upper.nrows
             cycles = kernel_basis(boundaries[k - 1]) if k else [
                 [int(i == j) for i in range(dim)] for j in range(dim)]
-            coords = [class_coordinates(dict(enumerate(c)), upper, lower) for c in cycles]
+            coords = [reduction.class_coordinates(k, dict(enumerate(c))) for c in cycles]
             assert all(len(row) == betti for row in coords)
             if betti:
                 assert invariant_factors(coords) == [1] * betti
                 free += 1
             for col in upper.cols:
-                assert class_coordinates(col, upper, lower) == [0] * betti
+                assert reduction.class_coordinates(k, col) == [0] * betti
     assert free >= 25 and torsion >= 10
 
 
@@ -1011,11 +1019,75 @@ def test_identify_class_runs_no_dense_smith_form_at_unit_lows(monkeypatch, torus
 
     monkeypatch.setattr(intlinalg, "snf_with_transforms", counted)
     torus2 = build_quotient_complex(Z2_ACT, 1, range(4))
-    for n, qc in ((2, torus2), (3, torus3)):
+    # A copy of torus3 shares its matrices but reduces them afresh.
+    for n, qc in ((2, torus2), (3, dataclasses.replace(torus3))):
         for d in range(n + 1):
             for axes in itertools.combinations(range(n), d):
                 assert len(identify_class(staircase_cycle(n, axes), qc)) == math.comb(n, d)
     assert calls[0] == 0
+
+
+def _count_reduction_work(monkeypatch):
+    """Counts of d d = 0 checks, column reductions and transposes per matrix."""
+    counts = {"checks": 0, "reductions": 0}
+    transposes = collections.Counter()
+    check, reduce_columns, transposed = (CoboundaryReduction.composes_to_zero,
+                                         intlinalg._reduce_columns,
+                                         SparseIntMatrix.transposed)
+
+    def counted_check(self):
+        counts["checks"] += 1
+        return check(self)
+
+    def counted_reduce(*args, **kwargs):
+        counts["reductions"] += 1
+        return reduce_columns(*args, **kwargs)
+
+    def counted_transpose(self):
+        transposes[id(self)] += 1
+        return transposed(self)
+
+    monkeypatch.setattr(CoboundaryReduction, "composes_to_zero", counted_check)
+    monkeypatch.setattr(intlinalg, "_reduce_columns", counted_reduce)
+    monkeypatch.setattr(SparseIntMatrix, "transposed", counted_transpose)
+    return counts, transposes
+
+
+def test_one_reduction_serves_every_class_of_a_complex(monkeypatch, torus3):
+    # The six coordinate classes of H_1 and H_2 of T^3, one by one: one
+    # d d = 0 check and four reductions (d_1^T and d_2^T for degree 1,
+    # d_2^T and d_3^T for degree 2), where each class used to pay its own.
+    counts, transposes = _count_reduction_work(monkeypatch)
+    qc = dataclasses.replace(torus3)
+    for d in (1, 2):
+        images = [identify_class(staircase_cycle(3, axes), qc)
+                  for axes in itertools.combinations(range(3), d)]
+        assert abs(det_oracle(images)) == 1
+    assert counts == {"checks": 1, "reductions": 4}
+    assert snf_homology(qc).betti() == {0: 1, 1: 3, 2: 3, 3: 1}
+    assert counts["checks"] == 1
+    assert set(transposes.values()) == {1}
+
+
+def test_homology_then_class_checks_the_complex_once(monkeypatch, torus3):
+    counts, transposes = _count_reduction_work(monkeypatch)
+    qc = dataclasses.replace(torus3)
+    assert snf_homology(qc).betti() == {0: 1, 1: 3, 2: 3, 3: 1}
+    assert identify_class(kuhn_fundamental_cycle(3), qc) in ([1], [-1])
+    assert counts["checks"] == 1
+    assert len(transposes) == 4 and set(transposes.values()) == {1}
+
+
+def test_reduction_is_not_part_of_the_complex_value():
+    # Built lazily and held by the complex, but neither a constructor
+    # argument nor part of its repr or equality.
+    qc = build_quotient_complex(Z_ACT, 1, range(3))
+    fresh = dataclasses.replace(qc)
+    assert "reduction" not in {f.name for f in dataclasses.fields(qc)}
+    assert snf_homology(qc).betti() == {0: 1, 1: 1}
+    assert qc.reduction is qc.reduction
+    assert qc == fresh and repr(qc) == repr(fresh)
+    assert "CoboundaryReduction" not in repr(qc)
 
 
 def test_homology_report_json():

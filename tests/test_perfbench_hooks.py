@@ -1,12 +1,16 @@
 """The benchmark's traced run wraps functions at fixed names in the package.
 
 perfbench/layers.py lists them in TARGETS, and perfbench/tests/test_helpers.py
-watches the import sites the wrappers patch.  A refactor that moves one of
-them would only show as a traced run that is not `correct`; these tests make
-it fail here instead.  Both files are read, never changed.
+watches the import sites the wrappers patch.  Outside TARGETS, the traced run
+swaps `intlinalg.heapq` for a pop counter and reads `nnz()`, `nrows` and
+`ncols` of a built complex's matrices, and its self-test calls
+`rank_and_factors()` with no arguments.  A refactor that moves one of them
+would only show as a traced run that is not `correct`; these tests make it
+fail here instead.  Both files are read, never changed.
 """
 
 import ast
+import heapq
 import importlib
 import importlib.util
 import sys
@@ -15,6 +19,9 @@ from pathlib import Path
 import pytest
 
 import coarse_chains
+from coarse_chains import intlinalg
+from coarse_chains.equivariant import TranslationAction, build_quotient_complex
+from coarse_chains.intlinalg import SparseIntMatrix
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -66,3 +73,18 @@ def test_watched_import_sites_resolve():
         for part in rest:
             owner = getattr(owner, part)
         assert attr in vars(owner), f"{owner_expr}.{attr} is not bound"
+
+
+def test_intlinalg_heapq_is_the_heapq_module():
+    assert intlinalg.heapq is heapq
+
+
+def test_quotient_matrices_carry_what_the_traced_run_reads():
+    qc = build_quotient_complex(TranslationAction.standard(2), 1, range(4))
+    assert sorted(qc.matrices) == [1, 2, 3]
+    for d, m in qc.matrices.items():
+        assert isinstance(m, SparseIntMatrix)
+        assert (m.nrows, m.ncols) == (qc.basis_size(d - 1), qc.basis_size(d))
+        rank, factors = m.rank_and_factors()
+        assert rank == len(factors) <= m.nnz()
+    assert sum(m.nnz() for m in qc.matrices.values()) > 0
