@@ -338,8 +338,8 @@ def equivariant_wrong_way(c: EquivariantChain, ctx: WrongWayContext) -> Equivari
 # -- quotient complexes ----------------------------------------------------
 
 # Largest top-degree basis build_quotient_complex enumerates.  Building T^3
-# ordered and taking its homology peaks near 0.74 KiB (tracemalloc) per
-# top-degree tuple, so the cap keeps a request near 0.7 GiB.  Ordered T^4
+# ordered and taking its homology peaks near 0.49 KiB (tracemalloc) per
+# top-degree tuple, so the cap keeps a request near 0.5 GiB.  Ordered T^4
 # (63^4 tuples in degree 5) is over it; oriented T^4 (7,896) is far under.
 MAX_BASIS_SIZE = 1_000_000
 
@@ -375,7 +375,7 @@ class QuotientComplex:
     degrees: tuple[int, ...]
     bases: dict[int, list[ChainTuple]]
     index: dict[int, dict[ChainTuple, int]]
-    matrices: dict[int, SparseIntMatrix]  # d -> boundary C_d -> C_{d-1}
+    matrices: dict[int, SparseIntMatrix]  # d -> coboundary d_d^T: C_{d-1} -> C_d
     include_degenerate: bool = True
 
     def basis_size(self, degree: int) -> int:
@@ -393,12 +393,12 @@ def build_quotient_complex(
     degrees: Iterable[int],
     include_degenerate: bool = True,
 ) -> QuotientComplex:
-    """Enumerate canonical tuples of spread <= r_max and their boundary maps.
+    """Enumerate canonical tuples of spread <= r_max and their coboundary maps.
 
     The default basis in degree d consists of the orbit representatives of
     all ordered (d+1)-tuples whose pairwise sup-distance is at most r_max,
     repeated vertices included; faces of basis tuples normalize back into
-    the lower basis, so the boundary matrices close up exactly.
+    the lower basis, so the coboundary matrices d_d^T close up exactly.
 
     Every vertex of such a tuple lies within r_max of the first, so a basis
     tuple is a fundamental point i and codes c_1..c_d, the lexicographic
@@ -451,17 +451,22 @@ def build_quotient_complex(
                 for c, v in enumerate(shifts)
                 if all(hi - r_max <= x <= lo + r_max for (lo, hi), x in zip(span, v))]
 
-    def boundary_entries(d: int, below: list[int], keys: list[int]) -> Iterable[tuple[int, int, int]]:
-        # Streamed into the matrix, so no list of all entries is ever held.
+    def coboundary(d: int, below: list[int], keys: list[int]) -> SparseIntMatrix:
+        # delta_{d-1} = d_d^T by column: face j of d-tuple `col` adds (-1)^j at key
+        # col, the last so far, of its (d-1)-tuple's column, so keys stay in order.
         lower = {key: row for row, key in enumerate(below)}
         powers = [K ** (d - j) for j in range(1, d + 1)]  # the place of digit j
         starts = [g * powers[0] + (zero - h % K) * sum(powers[1:]) for h, g in enumerate(homes)]
+        delta = SparseIntMatrix(len(keys), len(below))
         for col, key in enumerate(keys):
             head, rest = divmod(key, powers[0])
-            yield lower[starts[head] + rest], col, 1
-            for j, p in enumerate(powers, 1):
-                high, low = divmod(key, p)
-                yield lower[high // K * p + low], col, -1 if j % 2 else 1
+            sign = 1
+            for face in (starts[head] + rest, *(key // (p * K) * p + key % p for p in powers)):
+                column = delta.cols[lower[face]]
+                if total := column.pop(col, 0) + sign:
+                    column[col] = total
+                sign = -sign
+        return delta
 
     bases: dict[int, list[ChainTuple]] = {}
     matrices: dict[int, SparseIntMatrix] = {}
@@ -478,8 +483,7 @@ def build_quotient_complex(
                         grown_keys.append(key * K + c)
                         grown_spans.append(next_span)
             if d > degrees[0]:
-                matrices[d] = SparseIntMatrix(len(keys), len(grown_keys),
-                                              boundary_entries(d, keys, grown_keys))
+                matrices[d] = coboundary(d, keys, grown_keys)
             tuples, keys, spans = grown, grown_keys, grown_spans
         if d >= degrees[0]:
             bases[d] = tuples

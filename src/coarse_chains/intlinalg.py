@@ -6,18 +6,17 @@ reduction, rational rows scaled to integers first): determinants above size
 cofactors, with closed forms up to size 3.  Kernels and integral solving
 come from the Smith normal form.  Dense routines carry the unimodular
 transforms and serve small matrices only (lattice coordinates, set-aside
-cores).  Solving is "factor once, solve
-many": SmithSolver keeps one Smith form of a matrix and answers every
-right-hand side against it by unimodular back-substitution, so a batch of
-solves costs one Smith form, not one per column.  SparseIntMatrix holds the
-large boundary matrices of quotient complexes by column only, one
-{row: nonzero value} dict per column, the layout a column reduction reads.
+cores).  Solving is "factor once, solve many": SmithSolver keeps one Smith
+form of a matrix and answers every right-hand side against it by unimodular
+back-substitution, so a batch of solves costs one Smith form, not one per
+column.  SparseIntMatrix holds the large coboundary matrices of quotient
+complexes by column only, one {row: nonzero value} dict per column, the
+layout a column reduction reads.
 Its reduction, as in persistent homology, only ever adds multiples of columns
 whose lowest entry is +-1 (unimodular operations only), and hands the small
 leftover core to the dense routine, so ranks and invariant factors stay exact.
-CoboundaryReduction reduces a chain complex once, as Ripser does: it checks
-d d = 0 once, reduces the coboundaries (transposed boundaries) in rising degree
-with clearing, and reads off homology ranks and, per degree asked for, cocycles.
+CoboundaryReduction checks d d = 0 once and reduces the stored coboundaries
+once, as Ripser does (rising degree, clearing), for homology ranks and cocycles.
 """
 
 from __future__ import annotations
@@ -405,31 +404,31 @@ class SparseIntMatrix:
 
 class CoboundaryReduction:
     """A chain complex's coboundaries, reduced once and read many times, as
-    SmithSolver factors once and solves many.  It reads the boundaries
-    {d: d_d: C_d -> C_{d-1}}, transposes each at most once and checks d d = 0
+    SmithSolver factors once and solves many.  It reads the coboundaries
+    {d: delta_{d-1} = d_d^T: C_{d-1} -> C_d} as stored and checks d d = 0
     once, before anything is read off."""
 
-    def __init__(self, boundaries: Mapping[int, SparseIntMatrix]) -> None:
-        self.boundaries = boundaries
+    def __init__(self, coboundaries: Mapping[int, SparseIntMatrix]) -> None:
+        self.coboundaries = coboundaries
         self._checked = False
         self._cocycles: dict[int, tuple[list[Column], SmithSolver | None]] = {}
 
     def composes_to_zero(self) -> bool:
-        """Whether every d_d d_{d+1} vanishes, read one product column at a
-        time and stopping at the first nonzero one."""
-        for d in sorted(self.boundaries):
-            if d + 1 not in self.boundaries:
+        """Whether every delta_d delta_{d-1} = (d_d d_{d+1})^T vanishes, read
+        one product column at a time and stopping at the first nonzero one."""
+        for d in sorted(self.coboundaries):
+            if d + 1 not in self.coboundaries:
                 continue
-            lower, upper = self.boundaries[d], self.boundaries[d + 1]
-            if lower.ncols != upper.nrows:
-                # The transpose-boundary verify mutation reports this message.
-                raise ValueError(f"cannot compose d_{d} ({lower.nrows} x {lower.ncols}) "
-                                 f"with d_{d + 1} ({upper.nrows} x {upper.ncols})")
-            for upper_col in upper.cols:
-                # Column c of d_d d_{d+1} sums d_{d+1}[k, c] times column k of d_d.
+            lower, upper = self.coboundaries[d], self.coboundaries[d + 1]
+            if lower.nrows != upper.ncols:
+                # In d_d's shapes, as the transpose-boundary verify mutation reports it.
+                raise ValueError(f"cannot compose d_{d} ({lower.ncols} x {lower.nrows}) "
+                                 f"with d_{d + 1} ({upper.ncols} x {upper.nrows})")
+            for lower_col in lower.cols:
+                # Column c of the product sums delta_{d-1}[k, c] times column k of delta_d.
                 product: dict[int, int] = {}
-                for k, w in upper_col.items():
-                    for r, v in lower.cols[k].items():
+                for k, w in lower_col.items():
+                    for r, v in upper.cols[k].items():
                         product[r] = product.get(r, 0) + w * v
                 if any(product.values()):
                     return False
@@ -441,10 +440,6 @@ class CoboundaryReduction:
             raise ValueError("boundary matrices do not compose to zero; not a complex")
 
     @cached_property
-    def _coboundaries(self) -> dict[int, SparseIntMatrix]:
-        return {d: m.transposed() for d, m in self.boundaries.items()}
-
-    @cached_property
     def ranks(self) -> dict[int, tuple[int, list[int]]]:
         """Rank and invariant factors of each d_d (all that is kept), from d_d^T
         reduced in rising degree.  A unit-pivot low i of delta_{d-1} clears
@@ -452,9 +447,9 @@ class CoboundaryReduction:
         so R in column i of the identity is a unimodular V zeroing it."""
         self._check()
         ranks, lows = {}, {}
-        for d in sorted(self.boundaries):
+        for d in sorted(self.coboundaries):
             lows[d] = set()
-            ranks[d] = self._coboundaries[d].rank_and_factors(lows.pop(d - 1, ()), lows[d])
+            ranks[d] = self.coboundaries[d].rank_and_factors(lows.pop(d - 1, ()), lows[d])
         return ranks
 
     def class_coordinates(self, d: int, z: Mapping[int, int]) -> list[int]:
@@ -476,9 +471,9 @@ class CoboundaryReduction:
         and d_d^T's set-aside coboundaries, solved top-down through the V from
         before exhausting, give relations; the coordinates solve K x = pairings
         for a kernel basis K of the relations."""
-        cleared, coboundaries = (({}, []) if d not in self.boundaries
-                                 else _reduce_columns(self._coboundaries[d].cols))
-        cols = [col | {-1 - i: 1} for i, col in enumerate(self._coboundaries[d + 1].cols)]
+        cleared, coboundaries = (({}, []) if d not in self.coboundaries
+                                 else _reduce_columns(self.coboundaries[d].cols))
+        cols = [col | {-1 - i: 1} for i, col in enumerate(self.coboundaries[d + 1].cols)]
         zeros: list[tuple[int, Column]] = []
         pivots, aside = _reduce_columns(cols, cleared, zeros)
         cocycles = [{-1 - r: v for r, v in col.items() if r < 0} for _, col in zeros]

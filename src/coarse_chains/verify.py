@@ -3,7 +3,7 @@
 Every check runs from a fixed seed and reports one pass/fail line, so two
 consecutive runs produce byte-identical reports.  The three bundled
 mutations each corrupt one computation (the orientation sign of the Thom
-value, the (-1)^q factor of the boundary identity, one boundary matrix
+value, the (-1)^q factor of the boundary identity, one stored coboundary
 transposed) and exist to prove the battery actually bites; a clean build
 passes everything.
 
@@ -189,8 +189,8 @@ def check_snf_cross(transpose_mutation: bool) -> tuple[bool, str]:
             qc.matrices[top] = qc.matrices[top].transposed()
         try:
             report = snf_homology(qc)
-            # Second route: the boundaries, not the coboundaries snf_homology reduces.
-            ranks = {d: m.rank_and_factors()[0] for d, m in qc.matrices.items()}
+            # Second route: the boundaries, uncleared, not the coboundaries snf_homology reduces.
+            ranks = {d: m.transposed().rank_and_factors()[0] for d, m in qc.matrices.items()}
         except ValueError as exc:
             return False, f"T^{n}: {exc}"
         betti = report.betti()

@@ -340,7 +340,7 @@ def dense_class_oracle(cycle: EquivariantChain, complex_: QuotientComplex) -> li
     # complex carries no boundary out of this degree), factored once: its
     # full column rank makes every kernel coordinate below unique.
     if d in complex_.matrices:
-        kernel_cols = kernel_basis(to_dense(complex_.matrices[d]))
+        kernel_cols = kernel_basis(transpose(to_dense(complex_.matrices[d])))
     else:
         kernel_cols = [[1 if i == j else 0 for i in range(dim)] for j in range(dim)]
     k = len(kernel_cols)
@@ -353,11 +353,12 @@ def dense_class_oracle(cycle: EquivariantChain, complex_: QuotientComplex) -> li
     # Express the boundary image in kernel coordinates, one column at a
     # time, and diagonalize.  The kernel basis is saturated, so a column
     # fails to solve exactly when d_d d_{d+1} != 0 on it.
-    bnd = complex_.matrices[d + 1]
-    n_cols = bnd.ncols
+    # Row j of the stored coboundary d_{d+1}^T is the boundary of tuple j.
+    bnd = to_dense(complex_.matrices[d + 1])
+    n_cols = len(bnd)
     y_matrix = [[0] * n_cols for _ in range(k)]
-    for j, col in enumerate(bnd.cols):
-        y = kernel.solve([col.get(i, 0) for i in range(dim)])
+    for j, col in enumerate(bnd):
+        y = kernel.solve(col)
         if y is None:
             raise ValueError("boundary image escaped the cycle lattice; "
                              "the boundary matrices do not compose to zero")

@@ -51,6 +51,7 @@ from oracles import (
     sparse_multiply,
     staircase_cycle,
     to_dense,
+    transpose,
 )
 
 Z_ACT = TranslationAction.standard(1)
@@ -584,21 +585,23 @@ SKEW3_ACT = TranslationAction(LatticeSpace(3), ((1, 1, 0), (0, 1, 1), (1, 0, 2))
 ], ids=QUOTIENT_IDS + ["diagonal", "skew3-R1", "skew3-R2"])
 @pytest.mark.parametrize("ordered", [True, False], ids=["ordered", "oriented"])
 def test_quotient_boundaries_match_brute_force(action, r_max, degrees, ordered):
-    # The build computes faces on displacement codes; the oracle sends every
-    # face tuple through normalize_tuple.
+    # The build computes faces on displacement codes and stores d_d^T; the
+    # oracle sends every face tuple through normalize_tuple.
     qc = build_quotient_complex(action, r_max, degrees, include_degenerate=ordered)
     assert sorted(qc.matrices) == [d for d in degrees if d - 1 in qc.bases]
     for d, matrix in qc.matrices.items():
-        assert to_dense(matrix) == quotient_boundary_oracle(qc, d)
+        assert (matrix.nrows, matrix.ncols) == (qc.basis_size(d), qc.basis_size(d - 1))
+        assert to_dense(matrix) == transpose(quotient_boundary_oracle(qc, d))
 
 
 @pytest.mark.parametrize("n, ordered, digest", [
-    (3, True, "be53e19a8c2a120fec5db13313d42d7b8491d9721ed965915502fb1adb9a1e82"),
-    (4, False, "6667f7da645be44817c20e26b4bc5017863373f71c46be337751a3f09b0e9d8a"),
+    (3, True, "9e68340fe3ed62a2f6e4a6142f3e86455517b427af2d97cc942a14fa68c789f0"),
+    (4, False, "7bd576e2a0c46346b43962c623aeae483d556e17a15e4083b3e6b831c10cf8a7"),
 ], ids=["T3-ordered", "T4-oriented"])
 def test_benchmark_complexes_are_pinned(n, ordered, digest):
-    # Too large for the dense oracle: bases, index and every matrix (shape
-    # and column dicts, in order) must hash as the tuple-slicing build did.
+    # Too large for the dense oracle: bases, index and every coboundary
+    # (shape and column dicts, in order) must hash as the coboundaries that
+    # the reduction built by transposing the boundary matrices did.
     qc = build_quotient_complex(TranslationAction.standard(n), 1, range(n + 2),
                                 include_degenerate=ordered)
     state = (qc.bases, qc.index, {d: (m.nrows, m.ncols, m.cols) for d, m in qc.matrices.items()})
@@ -658,8 +661,8 @@ def test_composition_is_zero_matches_product_oracle():
     for trial in range(60):
         d1, d2 = _boundary_pair(rng, trial % 2 == 0)
         m1, m2 = _sparse(d1), _sparse(d2)
-        qc = QuotientComplex(action=Z_ACT, r_max=1, degrees=(0, 1, 2), bases={},
-                             index={}, matrices={1: m1, 2: m2})
+        qc = QuotientComplex(action=Z_ACT, r_max=1, degrees=(0, 1, 2), bases={}, index={},
+                             matrices={1: m1.transposed(), 2: m2.transposed()})
         answers.append(qc.reduction.composes_to_zero())
         assert answers[-1] == sparse_is_zero(sparse_multiply(m1, m2))
     assert set(answers) == {True, False}
@@ -736,12 +739,12 @@ def test_torus_homology_cross_checked(n):
 
     qc = build_quotient_complex(TranslationAction.standard(n), 1, range(n + 2))
     sizes = {d: qc.basis_size(d) for d in qc.degrees}
-    ranks = {d: frac_rank_oracle(to_dense(m)) for d, m in qc.matrices.items()}
+    ranks = {d: frac_rank_oracle(transpose(to_dense(m))) for d, m in qc.matrices.items()}
     report = snf_homology(qc)
     for entry in report.entries:
         d = entry.degree
         assert entry.betti == sizes[d] - ranks.get(d, 0) - ranks.get(d + 1, 0)
-        dense = to_dense(qc.matrices[d + 1])
+        dense = transpose(to_dense(qc.matrices[d + 1]))
         snf = smith_normal_form(sympy.Matrix(dense))
         factors = [abs(int(snf[i, i]))
                    for i in range(min(len(dense), len(dense[0])))
@@ -759,13 +762,14 @@ def test_degenerate_free_basis_same_betti():
 
 
 def _complex_of(boundaries):
-    """A QuotientComplex around hand-made boundary matrices d_1, d_2, ...;
-    its bases are placeholders of the right sizes."""
+    """A QuotientComplex around hand-made boundary matrices d_1, d_2, ...,
+    stored as their transposes; its bases are placeholders of the right sizes."""
     sizes = [len(boundaries[0])] + [len(d[0]) for d in boundaries]
     return QuotientComplex(
         action=Z_ACT, r_max=1, degrees=tuple(range(len(sizes))),
         bases={k: [()] * size for k, size in enumerate(sizes)}, index={},
-        matrices={k + 1: _sparse(d, sizes[k + 1]) for k, d in enumerate(boundaries)})
+        matrices={k + 1: _sparse(d, sizes[k + 1]).transposed()
+                  for k, d in enumerate(boundaries)})
 
 
 def _dense_homology_oracle(boundaries):
@@ -911,8 +915,8 @@ def test_identify_rejects_boundary_outside_cycle_lattice():
     qc = QuotientComplex(
         action=Z_ACT, r_max=1, degrees=(0, 1, 2), bases=bases,
         index={d: {t: i for i, t in enumerate(b)} for d, b in bases.items()},
-        matrices={1: SparseIntMatrix(1, 2, [(0, 1, 1)]),
-                  2: SparseIntMatrix(2, 1, [(1, 0, 1)])})
+        matrices={1: SparseIntMatrix(1, 2, [(0, 1, 1)]).transposed(),
+                  2: SparseIntMatrix(2, 1, [(1, 0, 1)]).transposed()})
     assert not qc.reduction.composes_to_zero()
     cycle = EquivariantChain(1, Z_ACT, INTEGERS, {((0,), (0,)): 1})
     with pytest.raises(ValueError, match="do not compose to zero; not a complex"):
@@ -993,7 +997,7 @@ def test_class_coordinates_on_random_complexes():
         reduction = _complex_of(boundaries).reduction
         for k, betti, factors in want:
             torsion += bool(factors)
-            upper = reduction.boundaries[k + 1]
+            upper = reduction.coboundaries[k + 1].transposed()
             dim = upper.nrows
             cycles = kernel_basis(boundaries[k - 1]) if k else [
                 [int(i == j) for i in range(dim)] for j in range(dim)]
@@ -1028,12 +1032,14 @@ def test_identify_class_runs_no_dense_smith_form_at_unit_lows(monkeypatch, torus
 
 
 def _count_reduction_work(monkeypatch):
-    """Counts of d d = 0 checks, column reductions and transposes per matrix."""
-    counts = {"checks": 0, "reductions": 0}
+    """Counts of d d = 0 checks, column reductions and transposes per matrix,
+    and the entries passed to the SparseIntMatrix constructor."""
+    counts = {"checks": 0, "reductions": 0, "entries": 0}
     transposes = collections.Counter()
-    check, reduce_columns, transposed = (CoboundaryReduction.composes_to_zero,
-                                         intlinalg._reduce_columns,
-                                         SparseIntMatrix.transposed)
+    check, reduce_columns, transposed, init = (CoboundaryReduction.composes_to_zero,
+                                               intlinalg._reduce_columns,
+                                               SparseIntMatrix.transposed,
+                                               SparseIntMatrix.__init__)
 
     def counted_check(self):
         counts["checks"] += 1
@@ -1047,10 +1053,32 @@ def _count_reduction_work(monkeypatch):
         transposes[id(self)] += 1
         return transposed(self)
 
+    def counted_init(self, nrows, ncols, entries=()):
+        entries = list(entries)
+        counts["entries"] += len(entries)
+        init(self, nrows, ncols, entries)
+
     monkeypatch.setattr(CoboundaryReduction, "composes_to_zero", counted_check)
     monkeypatch.setattr(intlinalg, "_reduce_columns", counted_reduce)
     monkeypatch.setattr(SparseIntMatrix, "transposed", counted_transpose)
+    monkeypatch.setattr(SparseIntMatrix, "__init__", counted_init)
     return counts, transposes
+
+
+def test_build_fills_coboundaries_without_constructor_entries_or_transposes(monkeypatch):
+    # The build writes each coboundary column itself, so no entry goes
+    # through the range-checked constructor, and nothing is transposed from
+    # the build through homology to a class.
+    counts, transposes = _count_reduction_work(monkeypatch)
+    qc = build_quotient_complex(Z2_ACT, 1, range(4))
+    assert snf_homology(qc).betti() == {0: 1, 1: 2, 2: 1}
+    assert identify_class(kuhn_fundamental_cycle(2), qc) in ([1], [-1])
+    # Three reductions for homology, two for the cocycles of degree 2.
+    assert counts == {"checks": 1, "reductions": 5, "entries": 0}
+    assert not transposes
+    # The spies do see what goes through them.
+    _sparse([[1, 0], [0, -2]]).transposed()
+    assert counts["entries"] == 2 and sum(transposes.values()) == 1
 
 
 def test_one_reduction_serves_every_class_of_a_complex(monkeypatch, torus3):
@@ -1063,10 +1091,10 @@ def test_one_reduction_serves_every_class_of_a_complex(monkeypatch, torus3):
         images = [identify_class(staircase_cycle(3, axes), qc)
                   for axes in itertools.combinations(range(3), d)]
         assert abs(det_oracle(images)) == 1
-    assert counts == {"checks": 1, "reductions": 4}
+    assert counts == {"checks": 1, "reductions": 4, "entries": 0}
     assert snf_homology(qc).betti() == {0: 1, 1: 3, 2: 3, 3: 1}
     assert counts["checks"] == 1
-    assert set(transposes.values()) == {1}
+    assert not transposes
 
 
 def test_homology_then_class_checks_the_complex_once(monkeypatch, torus3):
@@ -1075,7 +1103,7 @@ def test_homology_then_class_checks_the_complex_once(monkeypatch, torus3):
     assert snf_homology(qc).betti() == {0: 1, 1: 3, 2: 3, 3: 1}
     assert identify_class(kuhn_fundamental_cycle(3), qc) in ([1], [-1])
     assert counts["checks"] == 1
-    assert len(transposes) == 4 and set(transposes.values()) == {1}
+    assert not transposes
 
 
 def test_reduction_is_not_part_of_the_complex_value():

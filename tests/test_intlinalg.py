@@ -412,7 +412,8 @@ def test_sparse_transpose_matches_dense_transpose():
         assert t.transposed().cols == sparse.cols
 
 
-# (n, ordered) -> basis sizes by degree, and nonzeros of each boundary matrix.
+# (n, ordered) -> basis sizes by degree, and nonzeros of each stored coboundary
+# d_d^T (those of the boundary d_d).
 TORUS_SHAPES = {
     (3, True): ([1, 27, 343, 3375, 29791], {1: 0, 2: 923, 3: 11548, 4: 123907}),
     (4, False): ([1, 40, 360, 1546, 4144, 7896],

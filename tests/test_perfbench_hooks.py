@@ -2,9 +2,10 @@
 
 perfbench/layers.py lists them in TARGETS, and perfbench/tests/test_helpers.py
 watches the import sites the wrappers patch.  Outside TARGETS, the traced run
-swaps `intlinalg.heapq` for a pop counter and reads `nnz()`, `nrows` and
-`ncols` of a built complex's matrices, and its self-test calls
-`rank_and_factors()` with no arguments.  A refactor that moves one of them
+swaps `intlinalg.heapq` for a pop counter, reads `nnz()` of a built complex's
+`matrices` and `nrows` and `ncols` of each matrix handed to
+`rank_and_factors`, and its self-test calls `rank_and_factors()` with no
+arguments on each of a complex's `matrices`.  A refactor that moves one of them
 would only show as a traced run that is not `correct`; these tests make it
 fail here instead.  Both files are read, never changed.
 """
@@ -84,7 +85,8 @@ def test_quotient_matrices_carry_what_the_traced_run_reads():
     assert sorted(qc.matrices) == [1, 2, 3]
     for d, m in qc.matrices.items():
         assert isinstance(m, SparseIntMatrix)
-        assert (m.nrows, m.ncols) == (qc.basis_size(d - 1), qc.basis_size(d))
+        # The coboundary d_d^T: C_{d-1} -> C_d.
+        assert (m.nrows, m.ncols) == (qc.basis_size(d), qc.basis_size(d - 1))
         rank, factors = m.rank_and_factors()
         assert rank == len(factors) <= m.nnz()
     assert sum(m.nnz() for m in qc.matrices.values()) > 0
