@@ -23,12 +23,9 @@ from .geometry import FlatPair
 from .geometry import thom_crossing  # noqa: F401 - the thom-sign mutation and perfbench patch it
 from .intlinalg import (
     CoboundaryReduction,
-    SmithSolver,
     SparseIntMatrix,
     adjugate,
-    column_lattice_basis,
     det,
-    kernel_basis,
     pivot_columns,
     solve_int,  # noqa: F401 - still importable from here; perfbench's self-tests watch it
 )
@@ -90,8 +87,11 @@ class TranslationAction:
         return tuple(sum(a * x for a, x in zip(row, picked)) for row in self._coord_matrix)
 
     def has_integral_coords(self, v: Sequence[int]) -> bool:
-        """Whether the lattice coordinates of v (on the pivot rows) are integers."""
-        return all(x % self._coord_den == 0 for x in self._scaled_coords(v))
+        """Whether v lies in the lattice: integral coordinates on the pivot
+        rows that, below full rank, also give v back on the other rows."""
+        den, coords = self._coord_den, self._scaled_coords(v)
+        return all(x % den == 0 for x in coords) and (
+            self.is_full_rank() or self.vector_from_coeffs([x // den for x in coords]) == tuple(v))
 
     def vector_from_coeffs(self, m: Sequence[int]) -> Vector:
         return tuple(
@@ -140,9 +140,6 @@ class TranslationAction:
         """All lattice vectors o = G m with lo <= o <= hi componentwise."""
         if any(a > b for a, b in zip(lo, hi)):
             return []
-        if self.rank == 0:
-            zero = (0,) * self.space.dim
-            return [zero] if all(a <= 0 <= b for a, b in zip(lo, hi)) else []
         # Bound m by the coordinate image of the pivot-row sub-box corners.
         corners = itertools.product(*[(lo[i], hi[i]) for i in self._pivot_rows])
         images = [[sum(a * c for a, c in zip(row, corner)) for row in self._coord_matrix]
@@ -258,11 +255,13 @@ def restrict_equivariance(
 ) -> EquivariantChain:
     """Forget equivariance from the full action down to a tangential sublattice.
 
-    Each orbit representative is expanded over the coset space of sub in
-    the chain's action, keeping the finitely many translates whose tuples
-    stay within the given distance of the flat.  The radius must dominate
-    the chain's propagation, else translates carrying nonzero Thom values
-    could be cut off.
+    The action must be cocompact, and sub a rank n - q lattice in the flat
+    inside it, of any finite index in the action's tangential part.  Each
+    sub-orbit of a representative's translates within the given distance of
+    the flat has one member, already canonical, over a fundamental point of
+    sub in the flat: one per fundamental point and normal shift in the
+    action.  The radius must dominate the chain's propagation, else
+    translates carrying nonzero Thom values could be cut off.
     """
     action = c.action
     n = action.space.dim
@@ -278,38 +277,22 @@ def restrict_equivariance(
             raise ValueError(f"sublattice generator {g} does not preserve the flat")
         if not action.has_integral_coords(g):
             raise ValueError(f"sublattice generator {g} is not in the acting lattice")
-    if sub.rank + pair.codim != action.rank:
-        raise ValueError("sublattice must be the full tangential part of the action")
+    if not action.is_full_rank() or sub.rank != pair.flat_dim:
+        raise ValueError("restriction needs a cocompact action and a sublattice "
+                         "spanning the flat")
 
-    # Cosets are classified by the normal image of the acting lattice, but
-    # only when the sublattice is exactly the tangential kernel; a proper
-    # finite-index subgroup would make each normal class cover several
-    # cosets and the expansion would under-count.
-    q = pair.codim
-    normal_matrix = [
-        [pair.normal_part(g)[i] for g in action.generators] for i in range(q)
-    ]
-    for coeffs in kernel_basis(normal_matrix):
-        vec = action.vector_from_coeffs(coeffs)
-        if not sub.has_integral_coords(vec):
-            raise ValueError(
-                f"tangential lattice vector {vec} is not in the sublattice")
-    normal_image = TranslationAction(LatticeSpace(q), tuple(column_lattice_basis(normal_matrix)))
-    if normal_image.rank != q:
-        raise ValueError("action does not move the flat transversally")
-
-    normal_solver = SmithSolver(normal_matrix)
+    tangential = tuple(map(pair.tangential_part, sub.generators))
+    feet = TranslationAction(LatticeSpace(pair.flat_dim), tangential).fundamental_points()
     out: list[tuple[ChainTuple, Element]] = []
     for tup, coeff in c.terms.items():
         normals = [pair.normal_part(p) for p in tup]
         # Normal shifts z keeping every vertex within `radius` of the flat.
-        z_lo = [-radius - min(v[i] for v in normals) for i in range(q)]
-        z_hi = [radius - max(v[i] for v in normals) for i in range(q)]
-        for z in normal_image.lattice_vectors_in_box(z_lo, z_hi):
-            coeffs = normal_solver.solve(z)
-            assert coeffs is not None, "normal image enumeration left the lattice"
-            offset = action.vector_from_coeffs(coeffs)
-            out.append((sub.normalize_tuple(action.translate_tuple(tup, offset)), coeff))
+        z_box = [range(-radius - min(col), radius - max(col) + 1) for col in zip(*normals)]
+        base = pair.tangential_part(tup[0])
+        alongs = [tuple(f - b for f, b in zip(foot, base)) for foot in feet]
+        for along, z in itertools.product(alongs, itertools.product(*z_box)):
+            if action.has_integral_coords(offset := along + z):
+                out.append((action.translate_tuple(tup, offset), coeff))
     return EquivariantChain._trusted(c.degree, sub, c.group, _accumulate(c.group, out))
 
 

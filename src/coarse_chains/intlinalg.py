@@ -4,9 +4,11 @@ Small exact questions share one fraction-free echelon (Bareiss row
 reduction, rational rows scaled to integers first): determinants above size
 3 (closed forms below), ranks and pivot columns.  Adjugates come from
 cofactors, with closed forms up to size 3.  Kernels and integral solving
-come from the Smith normal form.  Dense routines carry the unimodular
-transforms and serve small matrices only (lattice coordinates, set-aside
-cores).  Solving is "factor once, solve many": SmithSolver keeps one Smith
+come from the Smith normal form.  Dense Smith routines serve small matrices
+only: set-aside cores and the class coordinates read past them.  Lattice
+coordinates and coset bookkeeping (equivariant) need no Smith form, and
+invariant_factors carries no transforms, so a tall core costs its own size.
+Solving is "factor once, solve many": SmithSolver keeps one Smith
 form of a matrix and answers every right-hand side against it by unimodular
 back-substitution, so a batch of solves costs one Smith form, not one per
 column.  SparseIntMatrix holds the large coboundary matrices of quotient
@@ -45,11 +47,17 @@ def snf_with_transforms(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     D is diagonal with non-negative entries d_1 | d_2 | ... ; U and V are
     square integer matrices of determinant +-1.
     """
+    u, v = identity(len(a)), identity(len(a[0]) if a else 0)
+    return _smith(a, u, v), u, v
+
+
+def _smith(a: Matrix, u: Matrix, v: Matrix) -> Matrix:
+    """The Smith form of a, doing each row operation on the rows of u and
+    each column operation on the columns of v, in place.  m empty rows for u
+    and no rows for v keep no transform at all."""
     d = [row[:] for row in a]
     m = len(d)
     n = len(d[0]) if m else 0
-    u = identity(m)
-    v = identity(n)
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -130,7 +138,7 @@ def snf_with_transforms(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    return d, u, v
+    return d
 
 
 def diagonal(d: Matrix) -> list[int]:
@@ -139,8 +147,7 @@ def diagonal(d: Matrix) -> list[int]:
 
 def invariant_factors(a: Matrix) -> list[int]:
     """Nonzero diagonal entries of the Smith form, in divisibility order."""
-    d, _, _ = snf_with_transforms(a)
-    return [x for x in diagonal(d) if x]
+    return [x for x in diagonal(_smith(a, [[] for _ in a], [])) if x]
 
 
 def _integer_rows(a: RationalMatrix) -> tuple[Matrix, int]:
@@ -268,19 +275,6 @@ class SmithSolver:
 def solve_int(a: Matrix, b: Sequence[int]) -> list[int] | None:
     """One integral solution of A x = b, or None if there is none."""
     return SmithSolver(a).solve(b)
-
-
-def column_lattice_basis(a: Matrix) -> Matrix:
-    """A basis of the lattice spanned by the columns of A, one vector per row.
-
-    With D = U A V and V unimodular, A and A V span the same lattice, and
-    A V = U^{-1} D: its first r columns U^{-1} d_i e_i are a basis.
-    """
-    if not a or not a[0]:
-        return []
-    d, _, v = snf_with_transforms(a)
-    r = len([x for x in diagonal(d) if x])
-    return [[sum(x * row[j] for x, row in zip(a_row, v)) for a_row in a] for j in range(r)]
 
 
 # -- sparse reduction ------------------------------------------------------

@@ -159,6 +159,7 @@ def test_normalize_and_membership_match_fraction_coordinates():
     assert {det_oracle(_columns(a)) > 0 for a in actions if a.is_full_rank()} == {True, False}
     assert any(not a.is_full_rank() for a in actions)
     rng = random.Random(12)
+    off_span = 0  # integral on the pivot rows, yet outside the lattice's span
     for action in actions:
         n, gens = action.space.dim, action.generators
         for trial in range(20):
@@ -174,7 +175,10 @@ def test_normalize_and_membership_match_fraction_coordinates():
                 for p in tup)
             assert action.normalize_tuple(tup) == expected
             assert action.canonical_shift(tup[0]) == tuple(shift)
-            assert action.has_integral_coords(v0) == all(c.denominator == 1 for c in coords)
+            member = _in_lattice_oracle(action, v0)
+            assert action.has_integral_coords(v0) == member
+            off_span += all(c.denominator == 1 for c in coords) and not member
+    assert off_span > 0
 
 
 def test_fundamental_points_match_fraction_coordinates():
@@ -192,7 +196,8 @@ def test_fundamental_points_match_fraction_coordinates():
 
 def test_lattice_vectors_in_box_match_fraction_coordinates():
     rng = random.Random(14)
-    for action in _random_actions(15, 60):
+    trivial = [TranslationAction(LatticeSpace(n), ()) for n in (1, 2, 3) for _ in range(4)]
+    for action in _random_actions(15, 60) + trivial:
         n = action.space.dim
         lo = [rng.randint(-5, 1) for _ in range(n)]
         hi = [a + rng.randint(0, 4) for a in lo]
@@ -201,11 +206,32 @@ def test_lattice_vectors_in_box_match_fraction_coordinates():
         assert action.lattice_vectors_in_box(lo, hi) == expected
 
 
+def _check_restriction(c, sub, pair, radius, half_width) -> int:
+    """Assert that the restriction's window expansion is the orbit sum of c
+    in the window filtered to tuples within radius of the flat; returns the
+    number of tuples compared.  The orbit sum tries every integer offset
+    keeping a tuple in the window, membership checked as in
+    test_normalize_and_membership_match_fraction_coordinates (a skewed
+    action's expand would try far more coefficient vectors)."""
+    want = {}
+    for tup, coeff in c.terms.items():
+        box = [range(-half_width - min(col), half_width - max(col) + 1) for col in zip(*tup)]
+        for offset in itertools.product(*box):
+            moved = c.action.translate_tuple(tup, offset)
+            if (c.action.has_integral_coords(offset)
+                    and max(pair.flat_distance(p) for p in moved) <= radius):
+                assert moved not in want
+                want[moved] = coeff
+    window = Window.cube(pair.ambient_dim, half_width)
+    assert restrict_equivariance(c, sub, pair, radius).expand(window).terms == want
+    return len(want)
+
+
 def test_restrict_equivariance_membership_matches_fraction_coordinates():
     # Pairs of codimension n - 1 and a one-generator tangential sublattice
-    # k e_1.  The action must contain k e_1, and k e_1 must generate the
-    # action's whole tangential part t e_1 (t found by brute force).
-    outcomes = set()
+    # k e_1.  The action must contain k e_1, which then has index k / t in
+    # the action's tangential part t e_1 (t found by brute force).
+    outcomes = collections.Counter()
     for action in _random_actions(16, 200, max_dim=3):
         n = action.space.dim
         if n < 2 or not action.is_full_rank():
@@ -219,18 +245,15 @@ def test_restrict_equivariance_membership_matches_fraction_coordinates():
             sub = TranslationAction(LatticeSpace(n), ((k,) + (0,) * (n - 1),))
             coords = lattice_coords_oracle(action.generators, sub.generators[0])
             if any(c.denominator != 1 for c in coords):
-                expected = "is not in the acting lattice"
-            elif t % k:
-                expected = "is not in the sublattice"
-            else:
-                expected = None
-            outcomes.add(expected)
-            if expected is None:
-                assert restrict_equivariance(chain, sub, pair, 1).action == sub
-            else:
-                with pytest.raises(ValueError, match=expected):
+                outcomes["outside"] += 1
+                with pytest.raises(ValueError, match="is not in the acting lattice"):
                     restrict_equivariance(chain, sub, pair, 1)
-    assert outcomes == {None, "is not in the acting lattice", "is not in the sublattice"}
+                continue
+            outcomes["index 1" if k == t else "finite index"] += 1
+            assert restrict_equivariance(chain, sub, pair, 1).action == sub
+            assert _check_restriction(chain, sub, pair, 1, 2 * k) > 0
+    print(f"restriction membership cases: {dict(outcomes)}")
+    assert set(outcomes) == {"outside", "index 1", "finite index"}
 
 
 # -- equivariant chains -------------------------------------------------------
@@ -385,15 +408,113 @@ def test_restrict_far_from_flat_is_zero():
     assert r.is_zero()
 
 
-def test_restrict_rejects_proper_tangential_sublattice():
-    # 2Z x {0} has finite index in the tangential kernel of Z^2; a coset
-    # expansion indexed by normal classes would silently under-count, so
-    # the restriction must refuse.
+def test_restrict_to_proper_tangential_sublattice():
+    # 2Z x {0} has index 2 in the tangential part of Z^2: each Z^2-orbit
+    # near the flat splits into two orbits of the sublattice, one over each
+    # of its fundamental points 0 and 1.
     pair = FlatPair(2, 1)
     sub = TranslationAction(LatticeSpace(2), ((2, 0),))
     c = kuhn_fundamental_cycle(2)
-    with pytest.raises(ValueError, match="not in the sublattice"):
+    r = restrict_equivariance(c, sub, pair, 1)
+    assert len(r.terms) == 8
+    assert {t[0][0] for t in r.terms} == {0, 1}
+    assert _check_restriction(c, sub, pair, 1, 6) > 0
+
+
+def _random_flat_setting(rng, n, q):
+    """A skewed cocompact action on Z^n whose tangential part is a random
+    lattice L x 0, a sublattice of L of random index in it, and that index.
+    A is spanned by L x 0 and q vectors (w, N) with N nonsingular, so a
+    vector of A lies in the flat exactly when it lies in L x 0."""
+    k = n - q
+
+    def nonsingular(size, lo, hi):
+        while True:
+            m = [[rng.randint(lo, hi) for _ in range(size)] for _ in range(size)]
+            if det_oracle(m):
+                return m
+
+    tangent = nonsingular(k, -2, 2)
+    normal = nonsingular(q, -2, 2)
+    gens = [row + [0] * q for row in tangent]
+    gens += [[rng.randint(-2, 2) for _ in range(k)] + row for row in normal]
+    for _ in range(2):  # skew the generators by unimodular row operations
+        a, b = rng.sample(range(n), 2)
+        sign = rng.choice((-1, 1))
+        gens[a] = [x + sign * y for x, y in zip(gens[a], gens[b])]
+    action = TranslationAction(LatticeSpace(n), tuple(map(tuple, gens)))
+    mix = [[rng.randint(1, 3) if i == j else rng.randint(-1, 1) * (j > i) for j in range(k)]
+           for i in range(k)]
+    sub_gens = tuple(tuple(sum(c * row[i] for c, row in zip(m_row, tangent)) for i in range(k))
+                     + (0,) * q for m_row in mix)
+    index = abs(int(det_oracle(mix)))
+    return action, TranslationAction(LatticeSpace(n), sub_gens), index
+
+
+def test_restrict_to_random_sublattices_matches_orbit_sums():
+    # Skewed cocompact actions on Z^2 and Z^3, every codimension, random
+    # tangential sublattices of index 1 or more, and random chains.
+    rng = random.Random(24)
+    cases = collections.Counter()
+    for _ in range(100):
+        n = rng.randint(2, 3)
+        pair = FlatPair(n, rng.randint(1, n), rng.choice((1, -1)))
+        action, sub, index = _random_flat_setting(rng, n, pair.codim)
+        degree = rng.randint(0, 2)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            first = [rng.randint(-3, 3) for _ in range(n)]
+            terms[tuple(tuple(x + rng.randint(-1, 1) for x in first)
+                        for _ in range(degree + 1))] = rng.choice((-2, -1, 1, 2))
+        c = EquivariantChain(degree, action, INTEGERS, terms)
+        radius = max(1, c.propagation()) + rng.randint(0, 1)
+        compared = _check_restriction(c, sub, pair, radius, 5)
+        cases["finite index" if index > 1 else "index 1"] += 1
+        cases["nonzero"] += compared > 0
+    print(f"random restriction cases: {dict(cases)}")
+    assert cases["finite index"] >= 30 and cases["index 1"] >= 20
+    assert cases["nonzero"] >= 60
+
+
+def test_restrict_refuses_actions_below_full_rank_and_small_sublattices():
+    pair = FlatPair(3, 1)
+    # Below full rank: sub = the action's whole tangential part, yet the
+    # action is not cocompact.
+    action = TranslationAction(LatticeSpace(3), ((1, 0, 0), (0, 0, 1)))
+    sub = TranslationAction(LatticeSpace(3), ((1, 0, 0),))
+    c = EquivariantChain(0, action, INTEGERS, {((0, 0, 0),): 1})
+    with pytest.raises(ValueError, match="cocompact action and a sublattice spanning"):
         restrict_equivariance(c, sub, pair, 1)
+    # (0, 1, 0) has integral coordinates (0, 0) on the pivot rows 0 and 2.
+    assert not action.has_integral_coords((0, 1, 0))
+    assert not action.has_integral_coords((2, 1, -3))
+    assert action.has_integral_coords((2, 0, -3))
+    outside = TranslationAction(LatticeSpace(3), ((0, 1, 0),))
+    with pytest.raises(ValueError, match="is not in the acting lattice"):
+        restrict_equivariance(c, outside, pair, 1)
+    # Rank 1 < n - q = 2 in a cocompact action.
+    c = kuhn_fundamental_cycle(3)
+    with pytest.raises(ValueError, match="cocompact action and a sublattice spanning"):
+        restrict_equivariance(c, sub, pair, 1)
+
+
+def test_restrict_makes_no_dense_smith_form(monkeypatch):
+    calls = collections.Counter()
+    for name in ("snf_with_transforms", "_smith"):
+        original = getattr(intlinalg, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(intlinalg, name, counted)
+    lattice = TranslationAction(LatticeSpace(3), ((1, 1, 0), (0, 1, 1), (1, 0, 2)))
+    c = EquivariantChain(0, lattice, INTEGERS, {((0, 0, 0),): 1})
+    for sub, pair in [(TranslationAction(LatticeSpace(3), ((3, 0, 0),)), FlatPair(3, 2)),
+                      (TranslationAction(LatticeSpace(3), ((6, 0, 0),)), FlatPair(3, 2))]:
+        assert not restrict_equivariance(c, sub, pair, 1).is_zero()
+    pair = FlatPair(4, 2)
+    restrict_equivariance(kuhn_fundamental_cycle(4), TranslationAction.tangential(pair), pair, 1)
+    assert calls == {}
 
 
 def test_restrict_truncation_error():
