@@ -17,8 +17,10 @@ layout a column reduction reads.
 Its reduction, as in persistent homology, only ever adds multiples of columns
 whose lowest entry is +-1 (unimodular operations only), and hands the small
 leftover core to the dense routine, so ranks and invariant factors stay exact.
-CoboundaryReduction checks d d = 0 once and reduces the stored coboundaries
-once, as Ripser does (rising degree, clearing), for homology ranks and cocycles.
+CoboundaryReduction checks d d = 0 once and reduces each stored coboundary
+once, as Ripser does (rising degree, clearing): homology ranks and cocycles
+read that one reduction, whose rows below 0 carry the column transform V
+once a class needs it.
 """
 
 from __future__ import annotations
@@ -280,6 +282,9 @@ def solve_int(a: Matrix, b: Sequence[int]) -> list[int] | None:
 # -- sparse reduction ------------------------------------------------------
 
 Column = dict[int, int]
+# Unit pivots by low, then (index, column) of each column set aside at a non-unit
+# low and, if V rides along, of each column reducing to zero (else None).
+Reduced = tuple[dict[int, Column], list[tuple[int, Column]], list[tuple[int, Column]] | None]
 
 
 def _cancel(col: Column, pivots: Mapping[int, Column], exhaust: bool) -> int | None:
@@ -307,27 +312,27 @@ def _cancel(col: Column, pivots: Mapping[int, Column], exhaust: bool) -> int | N
 
 
 def _reduce_columns(cols: Iterable[Column], cleared: Container[int] = (),
-                   zeros: list[tuple[int, Column]] | None = None
-                   ) -> tuple[dict[int, Column], list[tuple[int, Column]]]:
+                    transform: bool = False) -> Reduced:
     """Reduce columns in order against earlier columns whose lowest
     (largest-row) entry is +-1, so every step is unimodular, skipping those
-    in `cleared` and empty ones.  Returns these unit pivots by low and
-    (index, copy) of each column left with a non-unit low; `zeros` receives
-    (index, column) of each column that reduces to zero.  Rows below 0 are
-    never pivoted on, so a caller may carry the column transform there.
-    """
+    in `cleared` and, unless V is carried, empty ones.  Returns these unit
+    pivots by low, (index, copy) of each column left with a non-unit low and,
+    with `transform`, (index, column) of each column that reduces to zero.
+    Rows below 0 are never pivoted on: there, with `transform`, column j
+    carries column j of the column transform V, in rows -1 - k."""
     pivots: dict[int, Column] = {}
     aside: list[tuple[int, Column]] = []
+    zeros: list[tuple[int, Column]] = []
     for j, col in enumerate(cols):
-        if not col or j in cleared:
+        if j in cleared or not (col or transform):
             continue
+        col = col | {-1 - j: 1} if transform else col
         low = max(col)
         if low in pivots:
             col = dict(col)
             low = _cancel(col, pivots, False)
         if low is None or low < 0:
-            if zeros is not None:
-                zeros.append((j, col))
+            zeros.append((j, col))
             continue
         # A column no pivot touched becomes a pivot as it stands: pivots
         # are only read.  Set-aside columns are reduced further, so copied.
@@ -335,7 +340,7 @@ def _reduce_columns(cols: Iterable[Column], cleared: Container[int] = (),
             pivots[low] = col
         else:
             aside.append((j, dict(col)))
-    return pivots, aside
+    return pivots, aside, zeros if transform else None
 
 
 def _dense(cols: list[Column]) -> Matrix:
@@ -345,22 +350,13 @@ def _dense(cols: list[Column]) -> Matrix:
 
 
 class SparseIntMatrix:
-    """Sparse integer matrix stored by column: cols[j] maps row -> nonzero value."""
+    """Sparse integer matrix stored by column: cols[j] maps row -> nonzero value.
+    It is made empty, and its owner writes the columns in place."""
 
-    def __init__(self, nrows: int, ncols: int,
-                 entries: Iterable[tuple[int, int, int]] = ()) -> None:
+    def __init__(self, nrows: int, ncols: int) -> None:
         self.nrows = nrows
         self.ncols = ncols
         self.cols: list[Column] = [{} for _ in range(ncols)]
-        for r, c, v in entries:
-            if not (0 <= r < nrows and 0 <= c < ncols):
-                raise ValueError(f"entry {(r, c, v)} lies outside a {nrows} x {ncols} matrix")
-            col = self.cols[c]
-            total = col.get(r, 0) + v
-            if total:
-                col[r] = total
-            else:
-                col.pop(r, None)
 
     def nnz(self) -> int:
         return sum(map(len, self.cols))
@@ -374,23 +370,18 @@ class SparseIntMatrix:
                 rows[r][c] = v
         return out
 
-    def rank_and_factors(self, cleared: Container[int] = (),
-                         unit_lows: set[int] | None = None) -> tuple[int, list[int]]:
+    def rank_and_factors(self, _reduced: Reduced | None = None) -> tuple[int, list[int]]:
         """Exact rank and invariant factors; the matrix is left unchanged.
-
-        The columns go through _reduce_columns.  Each set-aside column is
-        then reduced on every pivot row and handed, with the others, to the
-        dense Smith routine.  The columns indexed in `cleared` are skipped
-        (exact where CoboundaryReduction.ranks clears), and the lows of the
-        unit pivots are added to `unit_lows` when it is given.
-        """
-        pivots, aside = _reduce_columns(self.cols, cleared)
-        if unit_lows is not None:
-            unit_lows.update(pivots)
+        `_reduced` is the columns' reduction as CoboundaryReduction stores it;
+        without it they are reduced here, uncleared.  A copy of each set-aside
+        column is then reduced on every pivot row and handed, with the others,
+        to the dense Smith routine on its rows >= 0."""
+        pivots, aside, _ = _reduced or _reduce_columns(self.cols)
         factors = [1] * len(pivots)
-        for _, col in aside:
+        core = [dict(col) for _, col in aside]
+        for col in core:
             _cancel(col, pivots, True)
-        core = [col for _, col in aside if col]
+        core = [col for col in core if max(col, default=-1) >= 0]
         if core:
             factors.extend(invariant_factors(_dense(core)))
         return len(factors), factors
@@ -400,11 +391,14 @@ class CoboundaryReduction:
     """A chain complex's coboundaries, reduced once and read many times, as
     SmithSolver factors once and solves many.  It reads the coboundaries
     {d: delta_{d-1} = d_d^T: C_{d-1} -> C_d} as stored and checks d d = 0
-    once, before anything is read off."""
+    once, before anything is read off.  Each delta_{d-1} is reduced once, in
+    rising degree and cleared on the unit lows of delta_{d-2}; the ranks and
+    the cocycles both read that reduction, redone once with V for a class."""
 
     def __init__(self, coboundaries: Mapping[int, SparseIntMatrix]) -> None:
         self.coboundaries = coboundaries
         self._checked = False
+        self._reduced: dict[int, Reduced] = {}
         self._cocycles: dict[int, tuple[list[Column], SmithSolver | None]] = {}
 
     def composes_to_zero(self) -> bool:
@@ -433,18 +427,25 @@ class CoboundaryReduction:
         if not self._checked:
             raise ValueError("boundary matrices do not compose to zero; not a complex")
 
+    def _reduction(self, d: int, transform: bool = False) -> Reduced:
+        """The one stored reduction of delta_{d-1} (empty past the complex),
+        made with V if `transform` asks and it has none, and only ever read.
+        A unit-pivot low i of delta_{d-2} clears column i: its reduced column
+        R is a cocycle with +-1 at i, so R in column i of the identity is a
+        unimodular V zeroing it."""
+        done = self._reduced.get(d)
+        if d in self.coboundaries and (done is None or transform and done[2] is None):
+            done = self._reduced[d] = _reduce_columns(
+                self.coboundaries[d].cols, self._reduction(d - 1)[0], transform)
+        return done or ({}, [], None)
+
     @cached_property
     def ranks(self) -> dict[int, tuple[int, list[int]]]:
-        """Rank and invariant factors of each d_d (all that is kept), from d_d^T
-        reduced in rising degree.  A unit-pivot low i of delta_{d-1} clears
-        column i of delta_d: its reduced column R is a cocycle with +-1 at i,
-        so R in column i of the identity is a unimodular V zeroing it."""
+        """Rank and invariant factors of each d_d (all that is kept), read
+        by rank_and_factors off the stored reduction of d_d^T."""
         self._check()
-        ranks, lows = {}, {}
-        for d in sorted(self.coboundaries):
-            lows[d] = set()
-            ranks[d] = self.coboundaries[d].rank_and_factors(lows.pop(d - 1, ()), lows[d])
-        return ranks
+        return {d: m.rank_and_factors(self._reduction(d))
+                for d, m in sorted(self.coboundaries.items())}
 
     def class_coordinates(self, d: int, z: Mapping[int, int]) -> list[int]:
         """Free coordinates of the class of the cycle z = {row: value} of C_d,
@@ -458,34 +459,33 @@ class CoboundaryReduction:
 
     def _cocycle_basis(self, d: int) -> tuple[list[Column], SmithSolver | None]:
         """Cocycles {row of C_d: value}, and the solver for the coordinates
-        where non-unit lows leave relations.  d_d^T (if any) is reduced, then
-        d_{d+1}^T cleared on its unit lows, with its transform V in rows -1 - k:
-        each uncleared column reducing to zero leaves a cocycle.  Past non-unit
-        lows, the kernel of d_{d+1}^T's exhausted set-aside core adds cocycles,
-        and d_d^T's set-aside coboundaries, solved top-down through the V from
-        before exhausting, give relations; the coordinates solve K x = pairings
-        for a kernel basis K of the relations."""
-        cleared, coboundaries = (({}, []) if d not in self.coboundaries
-                                 else _reduce_columns(self.coboundaries[d].cols))
-        cols = [col | {-1 - i: 1} for i, col in enumerate(self.coboundaries[d + 1].cols)]
-        zeros: list[tuple[int, Column]] = []
-        pivots, aside = _reduce_columns(cols, cleared, zeros)
+        where non-unit lows leave relations, read off copies from the stored
+        reductions of d_d^T (if any; rows below 0 ignored) and of d_{d+1}^T
+        with V: each of its columns reducing to zero leaves a cocycle.  Past
+        non-unit lows, the kernel of d_{d+1}^T's exhausted set-aside core adds
+        cocycles, and d_d^T's set-aside coboundaries, solved top-down through
+        the V from before exhausting, give relations; the coordinates solve
+        K x = pairings for a kernel basis K of the relations."""
+        cleared, coboundaries, _ = self._reduction(d)
+        pivots, aside, zeros = self._reduction(d + 1, True)
         cocycles = [{-1 - r: v for r, v in col.items() if r < 0} for _, col in zeros]
         if not aside and not coboundaries:
             return cocycles, None
         # V column i ends in row i with a 1; row -1 - i counts what a solve takes off.
-        basis = dict(cleared)
+        basis = {low: {r: v for r, v in col.items() if r >= 0} for low, col in cleared.items()}
         for col in [col for _, col in zeros + aside] + list(pivots.values()):
             basis[-1 - min(col)] = {-1 - r: v for r, v in col.items() if r < 0} | {min(col): 1}
-        for _, col in aside:
+        exhausted = [dict(col) for _, col in aside]
+        for col in exhausted:
             _cancel(col, pivots, True)
-        kernel = kernel_basis(_dense([col for _, col in aside]))
-        psis = [{-1 - r: v for r, v in col.items() if r < 0} for _, col in aside]
+        kernel = kernel_basis(_dense(exhausted))
+        psis = [{-1 - r: v for r, v in col.items() if r < 0} for col in exhausted]
         cocycles += [{i: sum(k * psi.get(i, 0) for k, psi in zip(vec, psis))
                       for i in set().union(*psis)} for vec in kernel]
         in_kernel = SmithSolver([[vec[s] for vec in kernel] for s in range(len(aside))])
         relations = []
         for _, col in coboundaries:
+            col = {r: v for r, v in col.items() if r >= 0}
             _cancel(col, basis, True)
             coeffs = [-col.get(-1 - j, 0) for j, _ in zeros + aside]
             relations.append(coeffs[:len(zeros)] + in_kernel.solve(coeffs[len(zeros):]))

@@ -120,6 +120,21 @@ def quotient_boundary_oracle(qc: QuotientComplex, d: int) -> list[list[int]]:
     return out
 
 
+def sparse_from_entries(nrows: int, ncols: int, entries) -> SparseIntMatrix:
+    """A column-stored sparse matrix from (row, column, value) entries, each
+    inside the shape; entries at one place are summed and zero sums dropped."""
+    out = SparseIntMatrix(nrows, ncols)
+    for r, c, v in entries:
+        if not (0 <= r < nrows and 0 <= c < ncols):
+            raise ValueError(f"entry {(r, c, v)} lies outside a {nrows} x {ncols} matrix")
+        col = out.cols[c]
+        if total := col.get(r, 0) + v:
+            col[r] = total
+        else:
+            col.pop(r, None)
+    return out
+
+
 def to_dense(a: SparseIntMatrix) -> list[list[int]]:
     """A column-stored sparse matrix as a list of rows."""
     out = [[0] * a.ncols for _ in range(a.nrows)]
@@ -134,9 +149,9 @@ def sparse_multiply(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
     if a.ncols != b.nrows:
         raise ValueError("shape mismatch in sparse multiply")
     # Column c of A B is the sum over k of B[k, c] times column k of A.
-    return SparseIntMatrix(a.nrows, b.ncols,
-                           ((r, c, w * v) for c, bcol in enumerate(b.cols)
-                            for k, w in bcol.items() for r, v in a.cols[k].items()))
+    return sparse_from_entries(a.nrows, b.ncols,
+                               ((r, c, w * v) for c, bcol in enumerate(b.cols)
+                                for k, w in bcol.items() for r, v in a.cols[k].items()))
 
 
 def sparse_is_zero(a: SparseIntMatrix) -> bool:

@@ -1,4 +1,5 @@
 import collections
+import copy
 import dataclasses
 import hashlib
 import heapq
@@ -47,6 +48,7 @@ from oracles import (
     lattice_coords_oracle,
     mat_mul,
     quotient_boundary_oracle,
+    sparse_from_entries,
     sparse_is_zero,
     sparse_multiply,
     staircase_cycle,
@@ -754,9 +756,9 @@ def test_quotient_matrices_compose_to_zero():
 
 
 def _sparse(rows, ncols=None):
-    return SparseIntMatrix(len(rows), len(rows[0]) if rows else ncols,
-                           [(i, j, x) for i, row in enumerate(rows)
-                            for j, x in enumerate(row) if x])
+    return sparse_from_entries(len(rows), len(rows[0]) if rows else ncols,
+                               [(i, j, x) for i, row in enumerate(rows)
+                                for j, x in enumerate(row) if x])
 
 
 def _kernel_matrix(a):
@@ -919,14 +921,16 @@ def _random_chain_complex(rng):
 
 
 def test_cleared_homology_matches_dense_oracle(monkeypatch):
+    # Each coboundary is reduced once, skipping the columns at the unit
+    # lows of the one below it.
     cleared = []
-    original = SparseIntMatrix.rank_and_factors
+    original = intlinalg._reduce_columns
 
-    def spy(self, skip=(), lows=None):
+    def spy(cols, skip=(), transform=False):
         cleared.append(len(skip))
-        return original(self, skip, lows)
+        return original(cols, skip, transform)
 
-    monkeypatch.setattr(SparseIntMatrix, "rank_and_factors", spy)
+    monkeypatch.setattr(intlinalg, "_reduce_columns", spy)
     rng = random.Random(13)
     torsion = 0
     for _ in range(60):
@@ -1036,8 +1040,7 @@ def test_identify_rejects_boundary_outside_cycle_lattice():
     qc = QuotientComplex(
         action=Z_ACT, r_max=1, degrees=(0, 1, 2), bases=bases,
         index={d: {t: i for i, t in enumerate(b)} for d, b in bases.items()},
-        matrices={1: SparseIntMatrix(1, 2, [(0, 1, 1)]).transposed(),
-                  2: SparseIntMatrix(2, 1, [(1, 0, 1)]).transposed()})
+        matrices={1: _sparse([[0, 1]]).transposed(), 2: _sparse([[0], [1]]).transposed()})
     assert not qc.reduction.composes_to_zero()
     cycle = EquivariantChain(1, Z_ACT, INTEGERS, {((0,), (0,)): 1})
     with pytest.raises(ValueError, match="do not compose to zero; not a complex"):
@@ -1132,6 +1135,65 @@ def test_class_coordinates_on_random_complexes():
     assert free >= 25 and torsion >= 10
 
 
+@pytest.mark.parametrize("n, r_max", [(1, 2), (1, 3), (2, 2)])
+def test_class_coordinates_do_not_depend_on_call_order(n, r_max):
+    # Classes of every degree read before homology (top degree first), after
+    # it (bottom degree first), and each degree on a complex of its own: the
+    # shared reductions give the same coordinates whichever made them.
+    def build():
+        return build_quotient_complex(TranslationAction.standard(n), r_max, range(n + 2))
+
+    rng = random.Random(10 * n + r_max)
+    before, after = build(), build()
+    cycles = {d: [_seeded_cycle(before, n, d, rng) for _ in range(6)] for d in range(n + 1)}
+    first = {d: [identify_class(z, before) for z in cycles[d]] for d in reversed(range(n + 1))}
+    homology = snf_homology(before)
+    assert snf_homology(after) == homology
+    assert {d: [identify_class(z, after) for z in cycles[d]] for d in range(n + 1)} == first
+    for d in range(n + 1):
+        fresh = build()
+        assert [identify_class(z, fresh) for z in cycles[d]] == first[d]
+    assert any(any(coords) for row in first.values() for coords in row)
+
+
+def test_random_complex_coordinates_do_not_depend_on_call_order():
+    rng = random.Random(16)
+    compared = 0
+    for _ in range(30):
+        boundaries = _random_chain_complex(rng)
+        degrees = range(len(boundaries))
+        dim = len(boundaries[0])
+        cycles = {k: kernel_basis(boundaries[k - 1]) if k else
+                  [[int(i == j) for i in range(dim)] for j in range(dim)] for k in degrees}
+
+        def read(reduction, order):
+            return {k: [reduction.class_coordinates(k, dict(enumerate(c))) for c in cycles[k]]
+                    for k in order}
+
+        before, after = _complex_of(boundaries).reduction, _complex_of(boundaries).reduction
+        first = read(before, reversed(degrees))
+        assert before.ranks == after.ranks
+        assert read(after, degrees) == first
+        assert {k: read(_complex_of(boundaries).reduction, [k])[k] for k in degrees} == first
+        compared += sum(map(len, first.values()))
+    assert compared >= 100
+
+
+@pytest.mark.parametrize("n, r_max", [(1, 2), (2, 2)])
+def test_reading_a_complex_leaves_its_coboundaries_unchanged(n, r_max):
+    # Homology and a class in every degree, in both orders, at non-unit lows.
+    for homology_first in (True, False):
+        qc = build_quotient_complex(TranslationAction.standard(n), r_max, range(n + 2))
+        saved = copy.deepcopy(qc.matrices)
+        if homology_first:
+            snf_homology(qc)
+        for d in range(n + 1):
+            identify_class(staircase_cycle(n, range(d)), qc)
+        snf_homology(qc)
+        assert {d: vars(m) for d, m in qc.matrices.items()} == {
+            d: vars(m) for d, m in saved.items()}
+
+
 def test_identify_class_runs_no_dense_smith_form_at_unit_lows(monkeypatch, torus3):
     # At r_max 1 every low is a unit, so the class is read off the sparse
     # coboundary reduction alone.
@@ -1153,9 +1215,9 @@ def test_identify_class_runs_no_dense_smith_form_at_unit_lows(monkeypatch, torus
 
 
 def _count_reduction_work(monkeypatch):
-    """Counts of d d = 0 checks, column reductions and transposes per matrix,
-    and the entries passed to the SparseIntMatrix constructor."""
-    counts = {"checks": 0, "reductions": 0, "entries": 0}
+    """Counts of d d = 0 checks, column reductions, matrices constructed and
+    transposes per matrix."""
+    counts = {"checks": 0, "reductions": 0, "matrices": 0}
     transposes = collections.Counter()
     check, reduce_columns, transposed, init = (CoboundaryReduction.composes_to_zero,
                                                intlinalg._reduce_columns,
@@ -1174,10 +1236,9 @@ def _count_reduction_work(monkeypatch):
         transposes[id(self)] += 1
         return transposed(self)
 
-    def counted_init(self, nrows, ncols, entries=()):
-        entries = list(entries)
-        counts["entries"] += len(entries)
-        init(self, nrows, ncols, entries)
+    def counted_init(self, nrows, ncols):
+        counts["matrices"] += 1
+        init(self, nrows, ncols)
 
     monkeypatch.setattr(CoboundaryReduction, "composes_to_zero", counted_check)
     monkeypatch.setattr(intlinalg, "_reduce_columns", counted_reduce)
@@ -1187,34 +1248,37 @@ def _count_reduction_work(monkeypatch):
 
 
 def test_build_fills_coboundaries_without_constructor_entries_or_transposes(monkeypatch):
-    # The build writes each coboundary column itself, so no entry goes
-    # through the range-checked constructor, and nothing is transposed from
-    # the build through homology to a class.
+    # The constructor takes a shape only: the build makes one empty matrix
+    # per coboundary and writes its columns itself, and nothing is
+    # constructed or transposed from the build through homology to a class.
     counts, transposes = _count_reduction_work(monkeypatch)
     qc = build_quotient_complex(Z2_ACT, 1, range(4))
+    assert counts["matrices"] == len(qc.matrices) == 3
     assert snf_homology(qc).betti() == {0: 1, 1: 2, 2: 1}
     assert identify_class(kuhn_fundamental_cycle(2), qc) in ([1], [-1])
-    # Three reductions for homology, two for the cocycles of degree 2.
-    assert counts == {"checks": 1, "reductions": 5, "entries": 0}
+    # Three reductions for homology; the cocycles of degree 2 redo the top
+    # one with its transform V, which keeps d_2^T's.
+    assert counts == {"checks": 1, "reductions": 4, "matrices": 3}
     assert not transposes
     # The spies do see what goes through them.
     _sparse([[1, 0], [0, -2]]).transposed()
-    assert counts["entries"] == 2 and sum(transposes.values()) == 1
+    assert counts["matrices"] == 5 and sum(transposes.values()) == 1
 
 
 def test_one_reduction_serves_every_class_of_a_complex(monkeypatch, torus3):
-    # The six coordinate classes of H_1 and H_2 of T^3, one by one: one
-    # d d = 0 check and four reductions (d_1^T and d_2^T for degree 1,
-    # d_2^T and d_3^T for degree 2), where each class used to pay its own.
+    # The six coordinate classes of H_1 and H_2 of T^3, one by one, then
+    # homology: one d d = 0 check and one reduction per coboundary (d_1^T
+    # and d_2^T with V for degree 1, d_3^T with V for degree 2, d_4^T for
+    # the ranks), where the classes and the ranks used to pay their own.
     counts, transposes = _count_reduction_work(monkeypatch)
     qc = dataclasses.replace(torus3)
     for d in (1, 2):
         images = [identify_class(staircase_cycle(3, axes), qc)
                   for axes in itertools.combinations(range(3), d)]
         assert abs(det_oracle(images)) == 1
-    assert counts == {"checks": 1, "reductions": 4, "entries": 0}
+    assert counts == {"checks": 1, "reductions": 3, "matrices": 0}
     assert snf_homology(qc).betti() == {0: 1, 1: 3, 2: 3, 3: 1}
-    assert counts["checks"] == 1
+    assert counts == {"checks": 1, "reductions": 4, "matrices": 0}
     assert not transposes
 
 

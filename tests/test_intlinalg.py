@@ -8,6 +8,7 @@ import pytest
 from coarse_chains import intlinalg
 from coarse_chains.equivariant import TranslationAction, build_quotient_complex
 from coarse_chains.intlinalg import (
+    CoboundaryReduction,
     SmithSolver,
     SparseIntMatrix,
     adjugate,
@@ -27,6 +28,7 @@ from oracles import (
     int_solvable_oracle,
     mat_mul,
     pivot_columns_oracle,
+    sparse_from_entries,
     sparse_is_zero,
     sparse_multiply,
     to_dense,
@@ -248,7 +250,7 @@ def test_sparse_matches_dense():
     for _ in range(60):
         m, n = rng.randint(1, 8), rng.randint(1, 8)
         a = _random_matrix(rng, m, n, lo=-4, hi=4, density=0.5)
-        sparse = SparseIntMatrix(
+        sparse = sparse_from_entries(
             m, n, [(i, j, a[i][j]) for i in range(m) for j in range(n) if a[i][j]])
         r, factors = sparse.rank_and_factors()
         assert r == frac_rank_oracle(a)
@@ -261,8 +263,8 @@ def test_sparse_multiply_matches_dense():
         m, k, n = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
         a = _random_matrix(rng, m, k, density=0.6)
         b = _random_matrix(rng, k, n, density=0.6)
-        sa = SparseIntMatrix(m, k, [(i, j, a[i][j]) for i in range(m) for j in range(k) if a[i][j]])
-        sb = SparseIntMatrix(k, n, [(i, j, b[i][j]) for i in range(k) for j in range(n) if b[i][j]])
+        sa = _sparse(a)
+        sb = _sparse(b)
         assert to_dense(sparse_multiply(sa, sb)) == mat_mul(a, b)
 
 
@@ -271,13 +273,14 @@ def test_unit_pivot_reduction_keeps_torsion():
     # or (2, 3) depending on basis; invariant factors are canonical.
     a = [[2, 0], [0, 3]]
     assert invariant_factors(a) == [1, 6]
-    sparse = SparseIntMatrix(2, 2, [(0, 0, 2), (1, 1, 3)])
+    sparse = _sparse([[2, 0], [0, 3]])
     assert sparse.rank_and_factors() == (2, [1, 6])
 
 
 def _sparse(a):
-    return SparseIntMatrix(len(a), len(a[0]) if a else 0,
-                           [(i, j, x) for i, row in enumerate(a) for j, x in enumerate(row) if x])
+    return sparse_from_entries(len(a), len(a[0]) if a else 0,
+                               [(i, j, x) for i, row in enumerate(a)
+                                for j, x in enumerate(row) if x])
 
 
 def _unimodular(rng, n, steps):
@@ -350,44 +353,88 @@ def test_sparse_reduction_hand_cases(a, want, cores, dense_cores):
     assert want == (frac_rank_oracle(a), invariant_factors(a))
 
 
-def test_sparse_reduction_leaves_the_matrix_unchanged(dense_cores):
-    # Cleared and uncleared; the entries up to 3 leave non-unit lows, and
-    # the set-aside columns that are then reduced must be copies.
+def _two_coboundaries(rng):
+    """delta_0 and delta_1 of a random complex C_2 -> C_1 -> C_0: a random
+    wide d_1, and d_2 a kernel basis of d_1 times a random matrix, so that
+    d_1 d_2 = 0 and the image of d_2 is a sublattice (non-unit lows)."""
+    rows = rng.randint(1, 4)
+    d1 = _random_matrix(rng, rows, rows + rng.randint(1, 3), lo=-2, hi=2, density=0.6)
+    kernel = transpose(kernel_basis(d1))
+    mix = [[rng.choice([0, 0, 1, -1, 2, 3]) for _ in range(rng.randint(1, 4))]
+           for _ in kernel[0]]
+    d2 = mat_mul(kernel, mix)
+    return {1: _sparse(transpose(d1)), 2: _sparse(transpose(d2))}, (d1, d2)
+
+
+def test_sparse_reduction_leaves_the_matrix_unchanged(dense_cores, monkeypatch):
+    # Uncleared, and cleared as CoboundaryReduction reduces a complex, its
+    # ranks and cocycles read in either order; the entries up to 3 leave
+    # non-unit lows, and the set-aside columns that are then reduced must
+    # be copies.
     rng = random.Random(11)
-    cleared_runs = 0
     for _ in range(30):
         a = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), lo=-3, hi=3, density=0.5)
         sparse = _sparse(a)
         cols = [dict(col) for col in sparse.cols]
         sparse.rank_and_factors()
         assert sparse.cols == cols
-        cleared = {j for j in range(sparse.ncols) if rng.random() < 0.3}
-        lows: set[int] = set()
-        sparse.rank_and_factors(cleared, lows)
-        assert sparse.cols == cols
-        assert all(0 <= low < sparse.nrows for low in lows)
-        cleared_runs += bool(cleared)
-    assert cleared_runs >= 10
+    cleared = []
+    original = intlinalg._reduce_columns
+
+    def spy(cols, skip=(), transform=False):
+        cleared.append(len(skip))
+        return original(cols, skip, transform)
+
+    monkeypatch.setattr(intlinalg, "_reduce_columns", spy)
+    for trial in range(30):
+        coboundaries, boundaries = _two_coboundaries(rng)
+        cols = {d: [dict(col) for col in m.cols] for d, m in coboundaries.items()}
+        reduction = CoboundaryReduction(coboundaries)
+        if trial % 2:
+            reduction.class_coordinates(1, {})
+            reduction.class_coordinates(0, {})
+        seen = len(dense_cores)
+        ranks = reduction.ranks
+        cores = dense_cores[seen:]
+        reduction.class_coordinates(1, {})
+        assert {d: m.cols for d, m in coboundaries.items()} == cols
+        assert ranks == {k + 1: (frac_rank_oracle(b), invariant_factors(b))
+                         for k, b in enumerate(boundaries)}
+        # The stored reductions are as made, and ranks read off those that
+        # carry V hand the same dense cores to the Smith routine.
+        fresh = CoboundaryReduction(coboundaries)
+        for d, done in reduction._reduced.items():
+            assert fresh._reduction(d, done[2] is not None) == done
+        seen = len(dense_cores)
+        assert CoboundaryReduction(coboundaries).ranks == ranks
+        assert dense_cores[seen:] == cores
+    assert sum(map(bool, cleared)) >= 10
     assert len(dense_cores) >= 10, "too few non-unit lows reached the dense core"
 
 
-def test_sparse_reduction_skips_cleared_columns_and_reports_unit_lows():
-    # Columns 0 and 1 have unit lows 0 and 2; column 2 has the non-unit low 1.
-    a = [[1, 0, 1], [0, 0, 2], [0, -1, 0]]
-    lows: set[int] = set()
-    assert _sparse(a).rank_and_factors((), lows) == (3, [1, 1, 2])
-    assert lows == {0, 2}
-    lows.clear()
-    assert _sparse(a).rank_and_factors({1}, lows) == (2, [1, 2])
-    assert lows == {0}
-    assert _sparse(a).rank_and_factors(range(3)) == (0, [])
+def test_sparse_reduction_skips_cleared_columns_and_reports_unit_lows(dense_cores):
+    # delta_0 = (0 1 1)^T has the unit low 2, so column 2 of delta_1 is
+    # cleared: it is minus column 1, which keeps the non-unit low 2 at row 1.
+    delta0 = _sparse([[0], [1], [1]])
+    delta1 = _sparse([[1, 1, -1], [0, 2, -2]])
+    reduction = CoboundaryReduction({1: delta0, 2: delta1})
+    assert reduction.ranks == {1: (1, [1]), 2: (2, [1, 2])}
+    assert dense_cores == [[[2]]]
+    # The stored reductions: unit pivots by low, and the set-aside columns.
+    assert list(reduction._reduction(1)[0]) == [2]
+    pivots, aside, _ = reduction._reduction(2)
+    assert list(pivots) == [0] and [j for j, _ in aside] == [1]
+    # With no argument, rank_and_factors reduces every column of its own.
+    assert delta1.rank_and_factors() == (2, [1, 2])
+    assert dense_cores == [[[2]], [[2, -2]]]
 
 
 def test_sparse_entries_summing_to_zero_leave_no_key():
-    sparse = SparseIntMatrix(2, 3, [(0, 1, 2), (1, 2, 4), (0, 1, -2), (1, 2, -1), (1, 0, 0)])
+    # The oracles' entry constructor; the package's matrices are written by column.
+    sparse = sparse_from_entries(2, 3, [(0, 1, 2), (1, 2, 4), (0, 1, -2), (1, 2, -1), (1, 0, 0)])
     assert sparse.cols == [{}, {}, {1: 3}]
     assert sparse.nnz() == 1 and not sparse_is_zero(sparse)
-    cancelled = SparseIntMatrix(2, 2, [(1, 1, 5), (1, 1, -5)])
+    cancelled = sparse_from_entries(2, 2, [(1, 1, 5), (1, 1, -5)])
     assert cancelled.cols == [{}, {}]
     assert cancelled.nnz() == 0 and sparse_is_zero(cancelled)
     # A product whose terms cancel stores nothing either.
@@ -395,17 +442,18 @@ def test_sparse_entries_summing_to_zero_leave_no_key():
     b = _sparse([[1], [-1]])
     product = sparse_multiply(a, b)
     assert product.cols == [{}] and sparse_is_zero(product)
+    assert SparseIntMatrix(2, 3).cols == [{}, {}, {}]
 
 
 def test_sparse_matrix_refuses_entries_outside_its_shape():
     with pytest.raises(ValueError, match=r"entry \(0, -1, 1\)"):
-        SparseIntMatrix(2, 2, [(0, -1, 1), (5, 0, 2)])
+        sparse_from_entries(2, 2, [(0, -1, 1), (5, 0, 2)])
     with pytest.raises(ValueError, match=r"entry \(5, 0, 2\)"):
-        SparseIntMatrix(2, 2, [(0, 1, 1), (5, 0, 2)])
+        sparse_from_entries(2, 2, [(0, 1, 1), (5, 0, 2)])
     with pytest.raises(ValueError, match=r"entry \(-1, 1, 3\)"):
-        SparseIntMatrix(2, 2, [(-1, 1, 3)])
+        sparse_from_entries(2, 2, [(-1, 1, 3)])
     with pytest.raises(ValueError, match=r"entry \(0, 2, 1\)"):
-        SparseIntMatrix(2, 2, [(0, 2, 1)])
+        sparse_from_entries(2, 2, [(0, 2, 1)])
 
 
 def test_sparse_transpose_matches_dense_transpose():

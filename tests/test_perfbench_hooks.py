@@ -5,7 +5,9 @@ watches the import sites the wrappers patch.  Outside TARGETS, the traced run
 swaps `intlinalg.heapq` for a pop counter, reads `nnz()` of a built complex's
 `matrices` and `nrows` and `ncols` of each matrix handed to
 `rank_and_factors`, and its self-test calls `rank_and_factors()` with no
-arguments on each of a complex's `matrices`.  A refactor that moves one of them
+arguments on each of a complex's `matrices`.  Its reduction counters read
+only what goes through `rank_and_factors`, so homology ranks must be read
+through it, once per stored coboundary.  A refactor that moves one of them
 would only show as a traced run that is not `correct`; these tests make it
 fail here instead.  Both files are read, never changed.
 """
@@ -90,3 +92,25 @@ def test_quotient_matrices_carry_what_the_traced_run_reads():
         rank, factors = m.rank_and_factors()
         assert rank == len(factors) <= m.nnz()
     assert sum(m.nnz() for m in qc.matrices.values()) > 0
+
+
+def test_ranks_are_read_through_rank_and_factors(monkeypatch):
+    # Also when the classes made the reductions first, with their transforms.
+    calls = []
+    original = SparseIntMatrix.rank_and_factors
+
+    def spy(self, *args):
+        calls.append(self)
+        return original(self, *args)
+
+    monkeypatch.setattr(SparseIntMatrix, "rank_and_factors", spy)
+    for classes_first in (False, True):
+        calls.clear()
+        qc = build_quotient_complex(TranslationAction.standard(1), 2, range(3))
+        if classes_first:
+            for d in (0, 1):
+                qc.reduction.class_coordinates(d, {})
+        assert not calls
+        ranks = qc.reduction.ranks
+        assert [id(m) for m in calls] == [id(m) for _, m in sorted(qc.matrices.items())]
+        assert ranks == {d: original(m) for d, m in qc.matrices.items()}
