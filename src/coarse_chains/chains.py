@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .coeffs import CoefficientGroup, Element, group_by_name
+from .coeffs import RATIONALS, CoefficientGroup, Element, group_by_name
 from .spaces import LatticeSpace, Point
 
 ChainTuple = tuple[Point, ...]
@@ -267,7 +267,7 @@ class ChainStats:
     def to_json(self) -> dict:
         return {
             "propagation": self.propagation,
-            "sup_norm": f"{self.sup_norm.numerator}/{self.sup_norm.denominator}",
+            "sup_norm": RATIONALS.to_json(self.sup_norm),
             "multiplicity": {str(r): k for r, k in sorted(self.multiplicity.items())},
         }
 

@@ -5,19 +5,15 @@ output path, 2 degenerate position, 3 spread/radius truncation, 4 a verify
 battery with a failed check.  Commands
 raise; `_fail` alone writes the failure to stderr (one `error:` line, or a
 JSON payload for codes 2 and 3) and picks its exit code.
-COARSE_CHAINS_THREADS caps the number of worker processes used to run
-several scenarios at once (0 or unset: one per CPU); there are never more
-workers than scenarios.
+`run` executes its scenarios in the order given, in one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .chains import UfChain
@@ -53,8 +49,7 @@ def _fail(exc: ValueError | OSError) -> int:
 
 
 def _guarded(command, *args) -> int:
-    """Run a command, turning a ValueError or OSError into its exit code
-    (module level, so that each scenario worker can run under it)."""
+    """Run a command, turning a ValueError or OSError into its exit code."""
     try:
         return command(*args)
     except (ValueError, OSError) as exc:
@@ -81,16 +76,7 @@ def _run_one_scenario(config: dict, out_dir: str | None) -> int:
     return EXIT_OK
 
 
-def _worker_cap() -> int:
-    """COARSE_CHAINS_THREADS as a non-negative integer; 0 (the default) means auto."""
-    raw = os.environ.get("COARSE_CHAINS_THREADS", "0").strip()
-    if not (raw.isascii() and raw.isdigit()):
-        raise ValueError(f"COARSE_CHAINS_THREADS must be a non-negative integer, got {raw!r}")
-    return int(raw)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    cap = _worker_cap()
     # Every scenario is loaded before any runs: a report is named after its
     # scenario, so a repeated name would have one report overwrite another.
     configs = [load_scenario(source) for source in args.scenarios]
@@ -99,13 +85,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if name in names[:i]:
             raise ValueError(f"scenario name {name!r} is given twice; "
                              f"each scenario writes the report named after it")
-    if len(configs) == 1:
-        return _run_one_scenario(configs[0], args.out_dir)
-    workers = min(cap or os.cpu_count() or 1, len(configs))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        codes = list(pool.map(_guarded, [_run_one_scenario] * len(configs), configs,
-                              [args.out_dir] * len(configs)))
-    return max(codes)
+    # A failing scenario reports its own exit code; the others still run.
+    return max(_guarded(_run_one_scenario, config, args.out_dir) for config in configs)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

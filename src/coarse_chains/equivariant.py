@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .chains import ChainTuple, UfChain, _accumulate, _Chain, boundary
 from .coeffs import CoefficientGroup, Element, INTEGERS
-from .geometry import FlatPair
+from .geometry import FlatPair, orientation_sign
 from .geometry import thom_crossing  # noqa: F401 - the thom-sign mutation and perfbench patch it
 from .intlinalg import (
     CoboundaryReduction,
@@ -218,32 +218,23 @@ class EquivariantChain(_Chain):
         return UfChain._trusted(self.degree, space, self.group, _accumulate(self.group, out))
 
 
-def _permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def kuhn_fundamental_cycle(n: int, group: CoefficientGroup = INTEGERS) -> EquivariantChain:
     """Fundamental n-cycle of the torus: the unit cube cut into n! simplices.
 
     Each permutation contributes the staircase simplex walking the cube's
-    edges in that order, weighted by the permutation sign; the orbit sum
-    under Z^n is a cycle representing the fundamental class.
+    edges in that order, weighted by the orientation sign of its unit steps
+    (the permutation sign); the orbit sum under Z^n is a cycle representing
+    the fundamental class.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     action = TranslationAction.standard(n)
     terms: list[tuple[ChainTuple, Element]] = []
-    for perm in itertools.permutations(range(n)):
-        vertices = [(0,) * n]
-        for axis in perm:
-            last = vertices[-1]
-            vertices.append(tuple(c + (1 if i == axis else 0) for i, c in enumerate(last)))
-        terms.append((tuple(vertices), group.coerce(_permutation_sign(perm))))
+    units = [tuple(int(i == axis) for i in range(n)) for axis in range(n)]
+    for steps in itertools.permutations(units):
+        vertices = itertools.accumulate(steps, lambda p, v: tuple(map(add, p, v)),
+                                        initial=(0,) * n)
+        terms.append((tuple(vertices), group.coerce(orientation_sign(steps))))
     return EquivariantChain(n, action, group, terms)
 
 
@@ -357,7 +348,6 @@ class QuotientComplex:
     r_max: int
     degrees: tuple[int, ...]
     bases: dict[int, list[ChainTuple]]
-    index: dict[int, dict[ChainTuple, int]]
     matrices: dict[int, SparseIntMatrix]  # d -> coboundary d_d^T: C_{d-1} -> C_d
     include_degenerate: bool = True
 
@@ -471,9 +461,7 @@ def build_quotient_complex(
         if d >= degrees[0]:
             bases[d] = tuples
 
-    index = {d: {t: i for i, t in enumerate(basis)} for d, basis in bases.items()}
-    return QuotientComplex(action, r_max, degrees, bases, index, matrices,
-                           include_degenerate)
+    return QuotientComplex(action, r_max, degrees, bases, matrices, include_degenerate)
 
 
 @dataclass(frozen=True)
@@ -528,7 +516,7 @@ def identify_class(cycle: EquivariantChain, complex_: QuotientComplex) -> list[i
     if d >= 1 and not boundary(cycle).is_zero():
         raise ValueError("chain is not a cycle")
 
-    idx = complex_.index[d]
+    idx = {tup: i for i, tup in enumerate(complex_.bases[d])}
     outside = [tup for tup in cycle.terms if tup not in idx]
     if outside:
         raise TruncationError(

@@ -156,8 +156,7 @@ def orientation_sign(vectors: Sequence[Sequence[Coord]]) -> int:
     for v in vectors:
         if len(v) != q:
             raise ValueError("need q vectors of dimension q")
-    rows = [[vectors[j][i] for j in range(q)] for i in range(q)]
-    return _sign(det(rows))
+    return _sign(det(vectors))  # the transpose has the same determinant
 
 
 # -- Thom evaluation -----------------------------------------------------

@@ -442,10 +442,14 @@ class CoboundaryReduction:
     @cached_property
     def ranks(self) -> dict[int, tuple[int, list[int]]]:
         """Rank and invariant factors of each d_d (all that is kept), read
-        by rank_and_factors off the stored reduction of d_d^T."""
+        by rank_and_factors off the stored reduction of d_d^T.  The top one
+        is then dropped: no degree above clears on it, and the cocycles of
+        the degree below are kept once made, or redo it with V."""
         self._check()
-        return {d: m.rank_and_factors(self._reduction(d))
-                for d, m in sorted(self.coboundaries.items())}
+        ranks = {d: m.rank_and_factors(self._reduction(d))
+                 for d, m in sorted(self.coboundaries.items())}
+        self._reduced.pop(max(self.coboundaries, default=None), None)
+        return ranks
 
     def class_coordinates(self, d: int, z: Mapping[int, int]) -> list[int]:
         """Free coordinates of the class of the cycle z = {row: value} of C_d,

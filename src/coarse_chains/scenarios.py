@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any
 
 from .chains import UfChain, boundary, chain_stats, frechet_seminorm, uf_norm
-from .coeffs import group_by_name
+from .coeffs import RATIONALS, group_by_name
 from .equivariant import (
     EquivariantChain,
     TranslationAction,
@@ -49,11 +49,6 @@ class ScenarioError(ValueError):
 
 def canonical_dumps(data: Any) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
-
-
-def _frac_str(x: Fraction) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def load_scenario(source: str | Path) -> dict:
@@ -96,7 +91,7 @@ def _chain_summary(obj: UfChain | EquivariantChain) -> dict:
         "degree": obj.degree,
         "terms": len(obj.terms),
         "propagation": obj.propagation(),
-        "sup_norm": _frac_str(uf_norm(obj, 0)),
+        "sup_norm": RATIONALS.to_json(uf_norm(obj, 0)),
     }
 
 
@@ -213,8 +208,8 @@ class ScenarioRun:
         norms_in = {p: uf_norm(source, p) for p in range(4)}
         norms_out = {p: uf_norm(self.current, p) for p in range(4)}
         return {
-            "input_uf_norms": {str(p): _frac_str(v) for p, v in norms_in.items()},
-            "output_uf_norms": {str(p): _frac_str(v) for p, v in norms_out.items()},
+            "input_uf_norms": {str(p): RATIONALS.to_json(v) for p, v in norms_in.items()},
+            "output_uf_norms": {str(p): RATIONALS.to_json(v) for p, v in norms_out.items()},
             "norm_nonincreasing": all(norms_out[p] <= norms_in[p] for p in norms_in),
         }
 
@@ -229,9 +224,9 @@ class ScenarioRun:
             raise ScenarioError("norms needs a plain chain")
         max_power = json_int(step.get("max_power", 3), "max_power")
         return {
-            "uf_norms": {str(p): _frac_str(uf_norm(self.current, p))
+            "uf_norms": {str(p): RATIONALS.to_json(uf_norm(self.current, p))
                          for p in range(max_power + 1)},
-            "frechet_seminorms": {str(p): _frac_str(frechet_seminorm(self.current, p))
+            "frechet_seminorms": {str(p): RATIONALS.to_json(frechet_seminorm(self.current, p))
                                   for p in range(max_power + 1)},
         }
 
@@ -289,7 +284,7 @@ class ScenarioRun:
         return {
             "chains": checked,
             "attempts": attempts,
-            "max_residual_sup_norm": _frac_str(max_residual),
+            "max_residual_sup_norm": RATIONALS.to_json(max_residual),
         }
 
 

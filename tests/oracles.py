@@ -341,7 +341,7 @@ def dense_class_oracle(cycle: EquivariantChain, complex_: QuotientComplex) -> li
     if d >= 1 and not boundary(cycle).is_zero():
         raise ValueError("chain is not a cycle")
 
-    idx = complex_.index[d]
+    idx = {tup: i for i, tup in enumerate(complex_.bases[d])}
     dim = complex_.basis_size(d)
     z = [0] * dim
     for tup, coeff in cycle.terms.items():

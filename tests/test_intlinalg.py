@@ -420,6 +420,8 @@ def test_sparse_reduction_skips_cleared_columns_and_reports_unit_lows(dense_core
     reduction = CoboundaryReduction({1: delta0, 2: delta1})
     assert reduction.ranks == {1: (1, [1]), 2: (2, [1, 2])}
     assert dense_cores == [[[2]]]
+    # Nothing reads the top reduction again once the ranks have read it.
+    assert list(reduction._reduced) == [1]
     # The stored reductions: unit pivots by low, and the set-aside columns.
     assert list(reduction._reduction(1)[0]) == [2]
     pivots, aside, _ = reduction._reduction(2)

@@ -13,6 +13,7 @@ from coarse_chains.scenarios import (
     load_scenario,
     run_scenario,
 )
+from test_golden import BUNDLED, GOLDEN
 
 
 def test_bundled_scenario_resolution():
@@ -101,12 +102,23 @@ def test_cli_run_writes_report(tmp_path):
     assert report["result"]["class"] in ([1], [-1])
 
 
-def test_cli_run_parallel_scenarios(tmp_path, monkeypatch):
-    monkeypatch.setenv("COARSE_CHAINS_THREADS", "2")
+def test_cli_run_parallel_scenarios(tmp_path):
     code = main(["run", "t2-to-s1", "t3-to-s1", "--out-dir", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "t2-to-s1.report.json").exists()
     assert (tmp_path / "t3-to-s1.report.json").exists()
+
+
+def test_cli_run_all_bundled_in_order_matches_golden(tmp_path, capsys):
+    # One call runs every bundled scenario in one process, in the order
+    # given: each report is byte-identical to its golden, and stderr names
+    # the scenarios in that order.
+    assert main(["run", *BUNDLED, "--out-dir", str(tmp_path)]) == 0
+    for name in BUNDLED:
+        assert ((tmp_path / f"{name}.report.json").read_text()
+                == (GOLDEN / f"{name}.report.json").read_text())
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"scenario {name}" for name in BUNDLED]
 
 
 def test_cli_run_refuses_repeated_scenario_names(tmp_path, capsys):
@@ -409,25 +421,14 @@ def test_cli_unwritable_outputs_exit_1(tmp_path, monkeypatch, capsys):
     assert json.loads(nested.read_text())["torus"] == 1
 
 
-def test_cli_run_unwritable_report_keeps_the_other_exit_codes(tmp_path, monkeypatch, capfd):
-    # A directory where t3-to-s1's report should go fails that worker only.
-    monkeypatch.setenv("COARSE_CHAINS_THREADS", "2")
+def test_cli_run_unwritable_report_keeps_the_other_exit_codes(tmp_path, capfd):
+    # A directory where t3-to-s1's report should go fails that scenario only.
     (tmp_path / "t3-to-s1.report.json").mkdir()
     assert main(["run", "t2-to-s1", "t3-to-s1", "--out-dir", str(tmp_path)]) == 1
     err = capfd.readouterr().err
     assert f"error: cannot write {tmp_path / 't3-to-s1.report.json'}: " in err
     assert "Traceback" not in err
     assert json.loads((tmp_path / "t2-to-s1.report.json").read_text())["result"]["class"]
-
-
-@pytest.mark.parametrize("value", ["two", "-1", "1.5"])
-def test_cli_bad_thread_count_exits_1(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("COARSE_CHAINS_THREADS", value)
-    for scenarios in (["t2-to-s1"], ["t2-to-s1", "t3-to-s1"]):
-        assert main(["run", *scenarios, "--out-dir", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: COARSE_CHAINS_THREADS") and err.count("\n") == 1
-    assert not list(tmp_path.iterdir())
 
 
 def _q_chain_json(**changes):
