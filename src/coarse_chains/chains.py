@@ -20,7 +20,7 @@ from .spaces import LatticeSpace, Point
 ChainTuple = tuple[Point, ...]
 
 
-def tuple_length(space: LatticeSpace, tup: ChainTuple) -> int:
+def tuple_length(tup: ChainTuple) -> int:
     """Maximal pairwise sup-distance among the tuple's points (0 for singletons):
     the largest spread max - min of one coordinate."""
     return max((max(axis) - min(axis) for axis in zip(*tup)), default=0)
@@ -131,7 +131,7 @@ class _Chain:
 
     def propagation(self) -> int:
         """Maximal tuple spread over the support; 0 for the zero chain."""
-        return max((tuple_length(self.space, t) for t in self.terms), default=0)
+        return max((tuple_length(t) for t in self.terms), default=0)
 
     # -- module structure -------------------------------------------------
 
@@ -242,7 +242,7 @@ def uf_norm(c: UfChain, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("norm weight must be >= 0")
-    return max((c.group.norm(coeff) * Fraction(tuple_length(c.space, tup)) ** n
+    return max((c.group.norm(coeff) * Fraction(tuple_length(tup)) ** n
                 for tup, coeff in c.terms.items()), default=Fraction(0))
 
 

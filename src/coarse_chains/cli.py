@@ -72,7 +72,7 @@ def _run_one_scenario(config: dict, out_dir: str | None) -> int:
     out_path = (Path(out_dir) if out_dir else Path.cwd()) / f"{name}.report.json"
     _write_report(out_path, canonical_dumps(report))
     print(f"scenario {name}: report written to {out_path} "
-          f"({time.perf_counter() - started:.2f}s)", file=sys.stderr)
+          f"({(time.perf_counter() - started) * 1000:.1f} ms)", file=sys.stderr)
     return EXIT_OK
 
 

@@ -38,11 +38,6 @@ class DegeneratePosition(ValueError):
         self.chain_tuple = chain_tuple
 
 
-def _coord_from_json(v) -> Coord:
-    f = RATIONALS.from_json(v)
-    return int(f) if f.denominator == 1 else f
-
-
 @dataclass(frozen=True)
 class AffineSimplex:
     """Ordered affine simplex with exact rational vertices."""
@@ -73,13 +68,6 @@ class AffineSimplex:
             "ambient_dim": self.ambient_dim,
             "vertices": [[RATIONALS.to_json(c) for c in v] for v in self.vertices],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "AffineSimplex":
-        return cls(
-            json_int(data["ambient_dim"], "simplex ambient dimension"),
-            tuple(tuple(_coord_from_json(c) for c in v) for v in data["vertices"]),
-        )
 
 
 def fill(points: Sequence[Sequence[Coord]]) -> AffineSimplex:

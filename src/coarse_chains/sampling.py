@@ -1,8 +1,9 @@
 """Seeded random chains, shared by the verify battery and the test suite.
 
 Every draw comes from the caller's random.Random, so a seed fixes the
-chains.  Rejection sampling is bounded: a draw that stays degenerate for
-GENERAL_POSITION_ATTEMPTS attempts raises instead of looping on.
+chains.  general_position_chain is the one rejection loop, and it is
+bounded: a draw that stays zero or degenerate for GENERAL_POSITION_ATTEMPTS
+attempts raises instead of looping on.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .spaces import LatticeSpace
 from .wrongway import WrongWayContext, cap_thom, sign_identity_residual
 
 # Attempts per requested general-position draw before giving up.
-GENERAL_POSITION_ATTEMPTS = 1000
+GENERAL_POSITION_ATTEMPTS = 100
 
 
 def random_coeff(rng: random.Random, group: CoefficientGroup):
@@ -44,21 +45,24 @@ def random_chain(rng: random.Random, space: LatticeSpace, degree: int,
 
 
 def general_position_chain(rng: random.Random, pair: FlatPair, degree: int,
-                           ctx: WrongWayContext) -> tuple[UfChain, UfChain]:
-    """Rejection-sample a chain on which the wrong-way identities evaluate.
+                           ctx: WrongWayContext, n_terms: int = 4, box: int = 3,
+                           spread: int = 2) -> tuple[UfChain, UfChain, int]:
+    """Rejection-sample a nonzero chain on which the wrong-way identities evaluate.
 
     Degree q + 1 and up must pass the sign identity, degree q the cap.
-    Returns the chain with that evaluation: its sign-identity residual, or
-    at degree q its cap with the Thom class.
+    Returns the chain with that evaluation (its sign-identity residual, or
+    at degree q its cap with the Thom class) and the number of draws made.
     """
     space = LatticeSpace(pair.ambient_dim)
     evaluate = sign_identity_residual if degree >= pair.codim + 1 else cap_thom
-    for _ in range(GENERAL_POSITION_ATTEMPTS):
-        c = random_chain(rng, space, degree, ctx.group)
+    for attempt in range(1, GENERAL_POSITION_ATTEMPTS + 1):
+        c = random_chain(rng, space, degree, ctx.group, n_terms, box, spread)
+        if c.is_zero():
+            continue
         try:
-            return c, evaluate(c, ctx)
+            return c, evaluate(c, ctx), attempt
         except DegeneratePosition:
             continue
     raise ValueError(
-        f"no general-position degree-{degree} chain for the pair "
+        f"no nonzero general-position degree-{degree} chain for the pair "
         f"(n={pair.ambient_dim}, q={pair.codim}) in {GENERAL_POSITION_ATTEMPTS} attempts")

@@ -30,14 +30,11 @@ from .equivariant import (
     snf_homology,
 )
 from .geometry import DegeneratePosition, FlatPair
-from .spaces import LatticeSpace, Window, json_int
-from .wrongway import WrongWayContext, sign_identity_residual, wrong_way
+from .sampling import general_position_chain
+from .spaces import Window, json_int
+from .wrongway import WrongWayContext, wrong_way
 
 REQUIRED_KEYS = ("name", "pair", "group", "window", "r_max", "seed", "perturb", "pipeline")
-
-# A sign_identity step draws at most this many chains per chain it must
-# check; zero chains and degenerate draws are rejected and count as attempts.
-SIGN_IDENTITY_ATTEMPTS_PER_CHAIN = 100
 
 # The name becomes the report's file name, so it may not hold a path.
 SCENARIO_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
@@ -217,12 +214,16 @@ class ScenarioRun:
         if not isinstance(self.current, UfChain):
             raise ScenarioError("chain_stats needs a plain chain")
         radii = [json_int(r, "radii entry") for r in step.get("radii", [0, 1, 2])]
+        if any(r < 0 for r in radii):
+            raise ScenarioError(f"chain_stats needs radii >= 0, got {radii}")
         return {"stats": chain_stats(self.current, radii).to_json()}
 
     def _op_norms(self, step: dict) -> dict:
         if not isinstance(self.current, UfChain):
             raise ScenarioError("norms needs a plain chain")
         max_power = json_int(step.get("max_power", 3), "max_power")
+        if max_power < 0:
+            raise ScenarioError("norms needs max_power >= 0")
         return {
             "uf_norms": {str(p): RATIONALS.to_json(uf_norm(self.current, p))
                          for p in range(max_power + 1)},
@@ -239,50 +240,27 @@ class ScenarioRun:
     def _op_sign_identity(self, step: dict) -> dict:
         count = json_int(step["count"], "count")
         degree = json_int(step["degree"], "degree")
-        n_terms = json_int(step.get("terms", 4), "terms")
-        spread = json_int(step.get("spread", 2), "spread")
-        box = json_int(step.get("box", 3), "box")
-        space = LatticeSpace(self.pair.ambient_dim)
-        ctx = self._ctx()
-        q = self.pair.codim
-        if degree < q + 1:
+        terms, spread, box = (json_int(step.get(key, default), key)
+                              for key, default in (("terms", 4), ("spread", 2), ("box", 3)))
+        if degree < self.pair.codim + 1:
             raise ScenarioError("sign_identity needs degree >= codim + 1")
-        if count < 1:
-            raise ScenarioError("sign_identity needs count >= 1")
-        cap = SIGN_IDENTITY_ATTEMPTS_PER_CHAIN * count
-        checked = attempts = 0
+        for key, value, least in (("count", count, 1), ("terms", terms, 1),
+                                  ("spread", spread, 0), ("box", box, 0)):
+            if value < least:
+                raise ScenarioError(f"sign_identity needs {key} >= {least}")
+        ctx = self._ctx()
+        attempts = 0
         max_residual = Fraction(0)
-        while checked < count:
-            if attempts == cap:
-                raise ScenarioError(
-                    f"gave up at the attempt cap {cap} ({SIGN_IDENTITY_ATTEMPTS_PER_CHAIN} "
-                    f"per requested chain) with {checked} of {count} chains checked; "
-                    f"every other draw was a zero chain or in degenerate position")
-            attempts += 1
-            terms: list = []
-            for _ in range(n_terms):
-                base = tuple(self.rng.randint(-box, box) for _ in range(space.dim))
-                tup = tuple(
-                    tuple(b + self.rng.randint(-spread, spread) for b in base)
-                    for _ in range(degree + 1)
-                )
-                coeff = self.rng.choice([-2, -1, 1, 2])
-                terms.append((tup, 1 if self.group.name == "Z/2" else coeff))
-            chain = UfChain(degree, space, self.group, terms)
-            if chain.is_zero():
-                continue
+        for checked in range(count):
             try:
-                residual = sign_identity_residual(chain, ctx)
-            except DegeneratePosition:
-                if self.perturb:
-                    raise
-                continue
-            norm = uf_norm(residual, 0)
-            if norm > max_residual:
-                max_residual = norm
-            checked += 1
+                _, residual, draws = general_position_chain(
+                    self.rng, self.pair, degree, ctx, terms, box, spread)
+            except ValueError as exc:
+                raise ValueError(f"{exc}, with {checked} of {count} chains checked") from None
+            attempts += draws
+            max_residual = max(max_residual, uf_norm(residual, 0))
         return {
-            "chains": checked,
+            "chains": count,
             "attempts": attempts,
             "max_residual_sup_norm": RATIONALS.to_json(max_residual),
         }

@@ -121,7 +121,7 @@ def check_sign_identity(seed: int, per_case: int, drop_sign: bool) -> tuple[bool
         factor = 1 if drop_sign or q % 2 == 0 else -1
         for degree in (q + 1, q + 2):
             for _ in range(per_case):
-                c, residual = general_position_chain(rng, pair, degree, ctx)
+                c, residual, _ = general_position_chain(rng, pair, degree, ctx)
                 image, boundary_image = wrong_way(c, ctx), wrong_way(boundary(c), ctx)
                 where = f"(n={n}, q={q}, k={degree})"
                 if not (boundary(image) - boundary_image.scale(factor)).is_zero():
@@ -141,7 +141,7 @@ def check_support_locality(seed: int, count: int) -> tuple[bool, str, int]:
         pair = FlatPair(n, q)
         ctx = WrongWayContext(pair, INTEGERS)
         for _ in range(count):
-            c, _ = general_position_chain(rng, pair, q + 1, ctx)
+            c, _, _ = general_position_chain(rng, pair, q + 1, ctx)
             radius = c.propagation()
             capped = cap_thom(c, ctx)
             if any(pair.flat_distance(p) > radius for tup in capped.terms for p in tup):

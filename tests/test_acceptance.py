@@ -102,7 +102,7 @@ def test_criterion_8_norm_continuity_shadow():
         ctx = WrongWayContext(pair, INTEGERS)
         for _ in range(50):
             # single-term chains: contraction holds without any separation
-            c, _ = general_position_chain(rng, pair, q, ctx)
+            c, _, _ = general_position_chain(rng, pair, q, ctx)
             single = UfChain(q, LatticeSpace(n), INTEGERS,
                              dict([next(iter(c.terms.items()))]))
             w = wrong_way(single, ctx)

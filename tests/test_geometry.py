@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from coarse_chains import (
     INTEGERS_MOD_2,
-    AffineSimplex,
     DegeneratePosition,
     FlatPair,
     cocycle_check,
@@ -73,19 +72,6 @@ def test_fill_diameter_equals_tuple_length(rng):
         hi = [max(v[i] for v in tup) for i in range(dim)]
         for p in samples:
             assert all(a <= c <= b for a, c, b in zip(lo, p, hi))
-
-
-def test_simplex_json_round_trip():
-    s = AffineSimplex(2, ((Fraction(1, 2), 0), (1, Fraction(-3, 4)), (0, 0)))
-    assert AffineSimplex.from_json(s.to_json()) == s
-
-
-@pytest.mark.parametrize("dim", [2.7, "2", True, None])
-def test_simplex_json_refuses_non_integer_dimension(dim):
-    data = AffineSimplex(2, ((0, 0), (1, 0), (0, 1))).to_json()
-    data["ambient_dim"] = dim
-    with pytest.raises(ValueError, match="simplex ambient dimension must be an integer"):
-        AffineSimplex.from_json(data)
 
 
 # -- orientation -----------------------------------------------------------

@@ -1,11 +1,14 @@
 import json
+import random
+import re
 import subprocess
 import sys
 
 import pytest
 
-from coarse_chains import INTEGERS, LatticeSpace, UfChain
+from coarse_chains import INTEGERS, FlatPair, LatticeSpace, UfChain
 from coarse_chains.cli import main
+from coarse_chains.sampling import general_position_chain
 from coarse_chains.scenarios import (
     ScenarioError,
     ScenarioRun,
@@ -13,6 +16,7 @@ from coarse_chains.scenarios import (
     load_scenario,
     run_scenario,
 )
+from coarse_chains.wrongway import WrongWayContext
 from test_golden import BUNDLED, GOLDEN
 
 
@@ -121,6 +125,14 @@ def test_cli_run_all_bundled_in_order_matches_golden(tmp_path, capsys):
     assert [line.split(":")[0] for line in lines] == [f"scenario {name}" for name in BUNDLED]
 
 
+def test_cli_run_logs_a_nonzero_time_for_each_bundled_scenario(tmp_path, capsys):
+    assert main(["run", *BUNDLED, "--out-dir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    times = [re.fullmatch(r"scenario .*\((\d+\.\d) ms\)", line) for line in lines]
+    assert len(times) == len(BUNDLED)
+    assert all(match and float(match.group(1)) > 0 for match in times), lines
+
+
 def test_cli_run_refuses_repeated_scenario_names(tmp_path, capsys):
     # The same bundled name twice, and a file that reuses a bundled name.
     copy = tmp_path / "copy.json"
@@ -182,6 +194,7 @@ def test_cli_run_degenerate_exits_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "degenerate-position"
     assert err["tuple"] == [[0, 0], [1, 0]]
+    assert err["simplex"] == {"ambient_dim": 2, "vertices": [["0/1", "0/1"], ["1/1", "0/1"]]}
 
 
 def test_cli_run_truncation_exits_3(tmp_path, capsys):
@@ -361,7 +374,7 @@ def test_sign_identity_without_usable_draws_stops_at_the_cap(tmp_path, capsys):
     assert main(["run", str(_sign_identity_scenario(tmp_path, 1))]) == 1
     err = capsys.readouterr().err
     assert "step 0 (sign_identity)" in err
-    assert "attempt cap 5000" in err
+    assert "in 100 attempts, with 0 of 50 chains checked" in err
 
 
 def test_sign_identity_does_not_count_zero_chains(tmp_path):
@@ -369,6 +382,37 @@ def test_sign_identity_does_not_count_zero_chains(tmp_path):
     # zero chains are rejections, so there is nothing to check.
     with pytest.raises(ScenarioError, match="0 of 50 chains checked"):
         run_scenario(_sign_identity_scenario(tmp_path, 3))
+
+
+def _sampled_sign_identity(monkeypatch, group, step):
+    """Run one sign_identity step; return its record and the chains it checked."""
+    drawn = []
+
+    def spy(*args, **kwargs):
+        chain, residual, draws = general_position_chain(*args, **kwargs)
+        drawn.append(chain)
+        return chain, residual, draws
+
+    monkeypatch.setattr("coarse_chains.scenarios.general_position_chain", spy)
+    config = load_scenario("t2-to-s1")
+    config.update(group=group, perturb=False, pipeline=[{"op": "sign_identity", **step}])
+    return ScenarioRun(config).run()["result"], drawn
+
+
+def test_sign_identity_over_q_checks_fractional_coefficients(monkeypatch):
+    result, drawn = _sampled_sign_identity(monkeypatch, "Q", {"count": 20, "degree": 2})
+    assert result["chains"] == 20 and result["max_residual_sup_norm"] == "0/1"
+    assert any(coeff.denominator > 1 for c in drawn for coeff in c.terms.values())
+
+
+def test_sign_identity_step_draws_what_the_sampler_draws(monkeypatch):
+    step = {"count": 30, "degree": 3, "terms": 3, "spread": 1, "box": 2}
+    result, drawn = _sampled_sign_identity(monkeypatch, "Z", step)
+    rng = random.Random(load_scenario("t2-to-s1")["seed"])
+    ctx = WrongWayContext(FlatPair(2, 1), INTEGERS)
+    expected = [general_position_chain(rng, FlatPair(2, 1), 3, ctx, 3, 2, 1) for _ in range(30)]
+    assert drawn == [c for c, _, _ in expected]
+    assert result["attempts"] == sum(draws for _, _, draws in expected) > 30
 
 
 @pytest.mark.parametrize("count", [0, -3])
@@ -505,6 +549,9 @@ def test_scenario_configuration_needs_integers(tmp_path, capsys, name):
     assert err.startswith("error: bad scenario configuration") and err.count("\n") == 1
 
 
+_LOAD_CHAIN = {"op": "load_chain",
+               "chain": UfChain(1, LatticeSpace(2), INTEGERS, {((0, -1), (0, 1)): 1}).to_json()}
+
 STRICT_CONFIGS = {
     "string perturb": ({"perturb": "false"}, "bad scenario configuration: perturb must be a boolean"),
     "integer perturb": ({"perturb": 0}, "bad scenario configuration: perturb must be a boolean"),
@@ -519,6 +566,17 @@ STRICT_CONFIGS = {
                     r"step 0 \(sign_identity\): count must be an integer"),
     "boolean box": ({"pipeline": [{"op": "sign_identity", "count": 2, "degree": 2, "box": True}]},
                     r"step 0 \(sign_identity\): box must be an integer"),
+    "zero terms": ({"pipeline": [{"op": "sign_identity", "count": 2, "degree": 2, "terms": 0}]},
+                   r"step 0 \(sign_identity\): sign_identity needs terms >= 1"),
+    "negative spread": ({"pipeline": [{"op": "sign_identity", "count": 2, "degree": 2,
+                                       "spread": -1}]},
+                        r"step 0 \(sign_identity\): sign_identity needs spread >= 0"),
+    "negative box": ({"pipeline": [{"op": "sign_identity", "count": 2, "degree": 2, "box": -1}]},
+                     r"step 0 \(sign_identity\): sign_identity needs box >= 0"),
+    "negative max_power": ({"pipeline": [_LOAD_CHAIN, {"op": "norms", "max_power": -1}]},
+                           r"step 1 \(norms\): norms needs max_power >= 0"),
+    "negative radius": ({"pipeline": [_LOAD_CHAIN, {"op": "chain_stats", "radii": [0, -1]}]},
+                        r"step 1 \(chain_stats\): chain_stats needs radii >= 0"),
 }
 
 

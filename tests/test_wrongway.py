@@ -58,7 +58,7 @@ def test_cap_total_coefficient_is_crossing_number(rng):
     for n, q in PAIR_SET:
         pair = FlatPair(n, q)
         for _ in range(30):
-            c, capped = general_position_chain(rng, pair, q, make_ctx(pair))
+            c, capped, _ = general_position_chain(rng, pair, q, make_ctx(pair))
             expected = 0
             for tup, coeff in c.terms.items():
                 expected += coeff * thom_oracle(fill(tup), pair)
@@ -123,7 +123,7 @@ def test_wrong_way_window_check():
                          ids=lambda g: g.name)
 def test_wrong_way_all_groups(group, rng):
     pair = FlatPair(3, 1)
-    c, residual = general_position_chain(rng, pair, 2, make_ctx(pair, group))
+    c, residual, _ = general_position_chain(rng, pair, 2, make_ctx(pair, group))
     assert residual.is_zero()
     image = wrong_way(c, make_ctx(pair, group))
     assert image.group == group
@@ -205,7 +205,7 @@ def test_wrong_way_commutes_with_tangential_translation(rng):
         pair = FlatPair(n, q)
         ctx = make_ctx(pair, perturb=True)
         for _ in range(30):
-            c, _ = general_position_chain(rng, pair, q + 1, make_ctx(pair))
+            c, _, _ = general_position_chain(rng, pair, q + 1, make_ctx(pair))
             shift = tuple(rng.randint(-4, 4) for _ in range(n - q)) + (0,) * q
             moved = UfChain(
                 c.degree, c.space, c.group,
