@@ -35,15 +35,28 @@ def tuple_distance(space: LatticeSpace, a: ChainTuple, b: ChainTuple) -> int:
 
 def _accumulate(group: CoefficientGroup, items: Iterable[tuple[ChainTuple, Element]],
                 out: dict[ChainTuple, Element] | None = None) -> dict[ChainTuple, Element]:
-    """Sum (tuple, coefficient) pairs into a dict, dropping every zero sum."""
+    """Sum (tuple, coefficient) pairs into a dict, dropping every zero sum.
+
+    Coefficients arrive as elements of the group (reduced mod 2 over Z/2).
+    A tuple's first coefficient is stored as it comes, unless it is zero;
+    only a repeated tuple costs an addition.
+    """
     out = {} if out is None else out
-    add, is_zero, zero = group.add, group.is_zero, group.zero
+    mod2 = group.name == "Z/2"
+    get = out.get
     for tup, coeff in items:
-        s = add(out.get(tup, zero), coeff)
-        if is_zero(s):
-            out.pop(tup, None)
-        else:
+        old = get(tup)
+        if old is None:
+            if coeff:
+                out[tup] = coeff
+            continue
+        s = old + coeff
+        if mod2:
+            s %= 2
+        if s:
             out[tup] = s
+        else:
+            del out[tup]
     return out
 
 
@@ -226,12 +239,18 @@ def boundary(c: _Chain) -> _Chain:
     """
     if c.degree == 0:
         raise ValueError("boundary of a degree-0 chain is undefined")
-    scale, normalize = c.group.scale, c._normalizer()
-    faces = ((tup[:j] + tup[j + 1:], scale(-1 if j % 2 else 1, coeff))
-             for tup, coeff in c.terms.items() for j in range(len(tup)))
+    neg, normalize = c.group.neg, c._normalizer()
+
+    def faces():
+        for tup, coeff in c.terms.items():
+            signed = (coeff, neg(coeff))
+            for j in range(len(tup)):
+                yield tup[:j] + tup[j + 1:], signed[j & 1]
+
+    signed_faces = faces()
     if normalize is not None:
-        faces = ((normalize(face), coeff) for face, coeff in faces)
-    return c._like(c.degree - 1, _accumulate(c.group, faces))
+        signed_faces = ((normalize(face), coeff) for face, coeff in signed_faces)
+    return c._like(c.degree - 1, _accumulate(c.group, signed_faces))
 
 
 def uf_norm(c: UfChain, n: int) -> Fraction:

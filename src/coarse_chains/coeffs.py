@@ -56,8 +56,14 @@ class CoefficientGroup:
         return a if self.name == "Z/2" else -a
 
     def scale(self, m: int, a: Element) -> Element:
-        """Integer multiple m*a; used for boundary signs and Thom values."""
-        return (m * a) % 2 if self.name == "Z/2" else m * a
+        """Integer multiple m*a; used for boundary signs and Thom values.
+
+        m = +-1 returns a or -a with no multiplication, which over Q saves a
+        Fraction product and its gcd.
+        """
+        if self.name == "Z/2":
+            return (m * a) % 2
+        return a if m == 1 else -a if m == -1 else m * a
 
     def norm(self, a: Element) -> Fraction:
         return Fraction(abs(a))

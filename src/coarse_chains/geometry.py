@@ -1,13 +1,15 @@
 """Exact rational affine geometry for flat pairs.
 
 The model submanifold is the coordinate flat Z^(n-q) x {0}^q inside Z^n
-with an orientation sign attached to the trailing normal frame.  A chain
-tuple is filled to the affine simplex on its vertices, and the Thom class
-of the flat evaluates on a q-simplex as the signed crossing number of the
-normal projection at the origin: +-1 when the origin is interior to the
-projected simplex, 0 when it is outside, and DegeneratePosition when it
-sits on the boundary (no silent tie-breaking; a symbolic lexicographic
-perturbation of the flat is available as an explicit opt-in).
+with an orientation sign attached to the trailing normal frame.  The Thom
+class of the flat evaluates on the affine q-simplex spanned by a vertex
+tuple as the signed crossing number of the normal projection at the
+origin: +-1 when the origin is interior to the projected simplex, 0 when
+it is outside, and DegeneratePosition when it sits on the boundary (no
+silent tie-breaking; a symbolic lexicographic perturbation of the flat is
+available as an explicit opt-in).  Thom evaluation reads the vertex tuple
+itself; `fill` builds the AffineSimplex only for the DegeneratePosition
+payload and for the face-compatibility check.
 """
 
 from __future__ import annotations
@@ -149,6 +151,10 @@ def orientation_sign(vectors: Sequence[Sequence[Coord]]) -> int:
 
 # -- Thom evaluation -----------------------------------------------------
 
+_HULL = "projected simplex is degenerate with the origin in its affine hull"
+_BOUNDARY = "origin lies on the boundary of the projected simplex"
+
+
 def _crossing_number(normals: list[Vertex], perturb: bool) -> int:
     """Signed crossing of the affine simplex on `normals` at the origin of R^q.
 
@@ -169,8 +175,7 @@ def _crossing_number(normals: list[Vertex], perturb: bool) -> int:
             return 0
         # The origin is in the affine hull iff rhs lies in the span of D.
         if q not in pivot_columns([row + [x] for row, x in zip(rows, rhs)]):
-            raise DegeneratePosition(
-                "projected simplex is degenerate with the origin in its affine hull")
+            raise DegeneratePosition(_HULL)
         return 0
 
     # Barycentric coordinates of the origin times det: adj(D) rhs for
@@ -191,47 +196,113 @@ def _crossing_number(normals: list[Vertex], perturb: bool) -> int:
             return 0
         tie = tie or s == 0
     if tie:
-        raise DegeneratePosition("origin lies on the boundary of the projected simplex")
+        raise DegeneratePosition(_BOUNDARY)
     return sdet
 
 
-def thom_crossing(simplex: AffineSimplex, pair: FlatPair, perturb: bool = False) -> int:
-    """Integer value of the flat Thom cocycle on a q-simplex: -1, 0 or +1."""
+def _crossing_segment(a: Coord, b: Coord, perturb: bool) -> int:
+    """_crossing_number for q = 1: the segment from a to b against 0 (or eps)."""
+    if perturb:
+        return 1 if a <= 0 < b else -1 if b <= 0 < a else 0
+    if a == b:
+        if a == 0:
+            raise DegeneratePosition(_HULL)
+        return 0
+    lo, hi = (a, b) if a < b else (b, a)
+    if lo > 0 or hi < 0:
+        return 0
+    if lo == 0 or hi == 0:
+        raise DegeneratePosition(_BOUNDARY)
+    return 1 if a < b else -1
+
+
+def _crossing_triangle(v0: Sequence[Coord], v1: Sequence[Coord], v2: Sequence[Coord],
+                       perturb: bool) -> int | None:
+    """_crossing_number for q = 2 with the 2x2 adjugate written out.
+
+    The leads are det(D) times the barycentric coordinates of the origin,
+    each followed by its row of adj(D) (minus the column sums for lambda_0),
+    and are read exactly as there.  None when D is singular in the plain
+    mode, where only the general elimination tells the hull apart.
+    """
+    x0, y0 = v0
+    ax, ay = v1[0] - x0, v1[1] - y0
+    bx, by = v2[0] - x0, v2[1] - y0
+    d = ax * by - bx * ay
+    if d == 0:
+        return 0 if perturb else None
+    n1 = bx * y0 - by * x0
+    n2 = ay * x0 - ax * y0
+    leads = (d - n1 - n2, n1, n2)
+    if d < 0:
+        leads = (-leads[0], -leads[1], -leads[2])
+    if not perturb:
+        if min(leads) < 0:
+            return 0
+        if 0 in leads:
+            raise DegeneratePosition(_BOUNDARY)
+        return 1 if d > 0 else -1
+    tails = ((ay - by, bx - ax), (by, -bx), (-ay, ax))
+    for lead, (t0, t1) in zip(leads, tails):
+        if lead < 0 or lead == 0 and (t0 or t1) * d < 0:
+            return 0
+    return 1 if d > 0 else -1
+
+
+def _reject_shape(vertices: Sequence[Sequence[Coord]], pair: FlatPair) -> None:
+    """Raise ValueError for a tuple that is not a q-simplex of the pair's space:
+    fill's own error first, then the ambient dimension, then the arity."""
+    simplex = fill(vertices)
     if simplex.ambient_dim != pair.ambient_dim:
         raise ValueError("simplex and pair live in different ambient dimensions")
-    if simplex.dim != pair.codim:
-        raise ValueError(
-            f"Thom evaluation needs a {pair.codim}-simplex, got dimension {simplex.dim}")
+    raise ValueError(
+        f"Thom evaluation needs a {pair.codim}-simplex, got dimension {simplex.dim}")
+
+
+def thom_crossing(vertices: Sequence[Sequence[Coord]], pair: FlatPair,
+                  perturb: bool = False) -> int:
+    """Integer value of the flat Thom cocycle on the q-simplex spanned by
+    `vertices`: -1, 0 or +1."""
+    n, q = pair.ambient_dim, pair.codim
+    if len(vertices) != q + 1 or set(map(len, vertices)) != {n}:
+        _reject_shape(vertices, pair)
+    f = n - q
     try:
-        crossing = _crossing_number(
-            [pair.normal_part(v) for v in simplex.vertices], perturb)
+        if q == 1:
+            crossing = _crossing_segment(vertices[0][f], vertices[1][f], perturb)
+        else:
+            normals = [v[f:] for v in vertices]
+            crossing = _crossing_triangle(*normals, perturb) if q == 2 else None
+            if crossing is None:
+                crossing = _crossing_number(normals, perturb)
     except DegeneratePosition as exc:
-        raise DegeneratePosition(str(exc), simplex=simplex) from None
+        raise DegeneratePosition(str(exc), simplex=fill(vertices)) from None
     return pair.normal_orientation * crossing
 
 
-def thom_evaluate(simplex: AffineSimplex, pair: FlatPair,
+def thom_evaluate(vertices: Sequence[Sequence[Coord]], pair: FlatPair,
                   group: CoefficientGroup = INTEGERS, perturb: bool = False) -> Element:
     """Evaluate the flat Thom cocycle on a q-simplex in a coefficient group.
 
     The value is the signed crossing number of the normal projection at
     the origin, times the pair's orientation; mod 2 the sign disappears.
     """
-    return group.scale(thom_crossing(simplex, pair, perturb), group.coerce(1))
+    return group.scale(thom_crossing(vertices, pair, perturb), group.coerce(1))
 
 
-def cocycle_check(simplex: AffineSimplex, pair: FlatPair,
+def cocycle_check(vertices: Sequence[Sequence[Coord]], pair: FlatPair,
                   group: CoefficientGroup = INTEGERS, perturb: bool = False) -> Element:
     """Alternating sum of Thom values over the faces of a (q+1)-simplex.
 
     The flat Thom representative is a cocycle, so this vanishes on every
     general-position input; callers treat a nonzero value as a defect.
     """
-    if simplex.dim != pair.codim + 1:
-        raise ValueError(
-            f"cocycle check needs a {pair.codim + 1}-simplex, got dimension {simplex.dim}")
+    if len(vertices) != pair.codim + 2:
+        raise ValueError(f"cocycle check needs a {pair.codim + 1}-simplex, "
+                         f"got dimension {len(vertices) - 1}")
+    vertices = tuple(vertices)
     total = group.zero
-    for sign, face in simplex.faces():
-        value = thom_evaluate(face, pair, group, perturb)
-        total = group.add(total, group.scale(sign, value))
+    for j in range(len(vertices)):
+        value = thom_evaluate(vertices[:j] + vertices[j + 1:], pair, group, perturb)
+        total = group.add(total, group.scale(-1 if j % 2 else 1, value))
     return total

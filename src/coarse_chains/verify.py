@@ -48,8 +48,8 @@ def _patched_thom_sign() -> Iterator[None]:
     """Injects the classic bug: the determinant sign is dropped."""
     original = _geometry_mod.thom_crossing
 
-    def buggy(simplex, pair, perturb=False):
-        return abs(original(simplex, pair, perturb))
+    def buggy(vertices, pair, perturb=False):
+        return abs(original(vertices, pair, perturb))
 
     modules = (_geometry_mod, _wrongway_mod, _equivariant_mod)
     for module in modules:
@@ -98,7 +98,7 @@ def check_cocycle(seed: int, per_pair: int) -> tuple[bool, str]:
             for _ in range(GENERAL_POSITION_ATTEMPTS):
                 verts = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(q + 2)]
                 try:
-                    value = cocycle_check(fill(verts), pair)
+                    value = cocycle_check(verts, pair)
                 except DegeneratePosition:
                     continue
                 break

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .chains import UfChain, _accumulate, _Chain, boundary, push_tuplewise
 from .coeffs import CoefficientGroup, INTEGERS
-from .geometry import DegeneratePosition, FlatPair, fill, thom_crossing
+from .geometry import DegeneratePosition, FlatPair, thom_crossing
 from .spaces import LatticeSpace, Point, Window
 
 
@@ -63,12 +63,12 @@ def cap_thom(c: _Chain, ctx: WrongWayContext) -> _Chain:
     if c.degree < q:
         raise ValueError(f"cannot cap a degree-{c.degree} chain with a degree-{q} class")
     ctx.check_chain(c)
-    group = ctx.group
+    group, pair, perturb = ctx.group, ctx.pair, ctx.perturb
 
     def capped():
         for tup, coeff in c.terms.items():
             try:
-                theta = thom_crossing(fill(tup[: q + 1]), ctx.pair, ctx.perturb)
+                theta = thom_crossing(tup[: q + 1], pair, perturb)
             except DegeneratePosition as exc:
                 raise DegeneratePosition(str(exc), simplex=exc.simplex, chain_tuple=tup) from None
             if theta == 0:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from coarse_chains import (
     INTEGERS,
+    INTEGERS_MOD_2,
     RATIONALS,
     LatticeSpace,
     UfChain,
@@ -17,7 +18,7 @@ from coarse_chains import (
     push_tuplewise,
     uf_norm,
 )
-from coarse_chains.chains import tuple_distance, tuple_length
+from coarse_chains.chains import _accumulate, tuple_distance, tuple_length
 
 from conftest import ALL_GROUPS, random_chain
 
@@ -207,3 +208,33 @@ def test_degenerate_tuples_are_legal():
     b = boundary(c)
     assert b.terms == {((2,),): 0} or b.is_zero()
     assert b.is_zero()  # (x) - (x) cancels
+
+
+@pytest.mark.parametrize("group, a, b", [
+    (INTEGERS, 2, -2), (INTEGERS_MOD_2, 1, 1), (RATIONALS, Fraction(1, 2), Fraction(-1, 2)),
+], ids=["Z", "Z/2", "Q"])
+def test_accumulate_drops_zero_sums_and_never_stores_a_zero(group, a, b):
+    t, u = ((0,), (1,)), ((1,), (2,))
+    assert _accumulate(group, [(t, a), (t, b)]) == {}
+    assert _accumulate(group, [(t, group.zero), (u, a), (u, group.zero)]) == {u: a}
+    out = _accumulate(group, [(t, a), (u, a), (t, b), (t, a)])
+    assert out == {u: a, t: a} and list(out) == [u, t]
+    assert all(type(v) is type(a) for v in out.values())
+    # A sum into a given dict adds onto its entries.
+    assert _accumulate(group, [(u, b)], {u: a}) == {}
+
+
+def test_boundary_and_scale_keep_the_element_types():
+    terms = {((0, 0), (1, 0), (1, 1)): 1, ((0, 0), (0, 1), (1, 1)): 1,
+             ((2, 0), (3, 1), (2, 2)): 1}
+    for group in ALL_GROUPS:
+        c = UfChain(2, Z2, group, {t: group.coerce(v) for t, v in terms.items()})
+        for chain in (boundary(c), c.scale(-1), -c, c.scale(3)):
+            assert not chain.is_zero()
+            values = list(chain.terms.values())
+            if group is RATIONALS:
+                assert all(type(v) is Fraction for v in values)
+            elif group is INTEGERS_MOD_2:
+                assert values == [1] * len(values)
+            else:
+                assert all(type(v) is int for v in values)

@@ -80,3 +80,14 @@ def test_group_by_name():
     assert group_by_name("Q") is RATIONALS
     with pytest.raises(ValueError):
         group_by_name("R")
+
+
+def test_scale_by_a_unit_keeps_the_element_type():
+    half = Fraction(1, 2)
+    assert RATIONALS.scale(1, half) is half
+    assert type(RATIONALS.scale(-1, half)) is Fraction and RATIONALS.scale(-1, half) == -half
+    assert type(RATIONALS.scale(3, half)) is Fraction and RATIONALS.scale(3, half) == Fraction(3, 2)
+    assert RATIONALS.scale(-1, RATIONALS.zero) == 0
+    assert [INTEGERS.scale(m, 3) for m in (1, -1, 2, 0)] == [3, -3, 6, 0]
+    # mod 2 a unit multiple is the element itself, never -1
+    assert [INTEGERS_MOD_2.scale(m, 1) for m in (1, -1, 2, -3)] == [1, 1, 0, 1]

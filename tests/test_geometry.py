@@ -16,6 +16,7 @@ from coarse_chains import (
     thom_crossing,
     thom_evaluate,
 )
+from coarse_chains import geometry
 
 from conftest import PAIR_SET
 from oracles import barycentric_point, crossing_number_oracle, diameter, thom_oracle
@@ -97,28 +98,28 @@ def test_orientation_sign_antisymmetry(rng):
 def test_thom_examples_with_oracles():
     pair = FlatPair(2, 1)
     seg = fill([(0, -1), (0, 1)])
-    assert thom_evaluate(seg, pair) == 1
+    assert thom_evaluate(seg.vertices, pair) == 1
     assert thom_oracle(seg, pair) == 1
 
     offside = fill([(1, 2), (3, 5)])
-    assert thom_evaluate(offside, pair) == 0
+    assert thom_evaluate(offside.vertices, pair) == 0
     assert thom_oracle(offside, pair) == 0
 
     tri = fill([(0, 1, 0), (0, -1, 1), (0, -1, -1)])
     pair32 = FlatPair(3, 2)
-    assert thom_evaluate(tri, pair32) == 1
+    assert thom_evaluate(tri.vertices, pair32) == 1
     assert thom_oracle(tri, pair32) == 1
 
 
 def test_thom_degenerate_examples():
     pair = FlatPair(2, 1)
     with pytest.raises(DegeneratePosition):
-        thom_evaluate(fill([(0, 0), (1, 0)]), pair)  # lies inside the flat
+        thom_evaluate([(0, 0), (1, 0)], pair)  # lies inside the flat
     with pytest.raises(DegeneratePosition):
-        thom_evaluate(fill([(0, 0), (1, 1)]), pair)  # endpoint on the flat
+        thom_evaluate([(0, 0), (1, 1)], pair)  # endpoint on the flat
     with pytest.raises(DegeneratePosition):
         # origin on the boundary of the projected triangle
-        thom_evaluate(fill([(5, 0, -1), (5, 0, 1), (5, 3, 0)]), FlatPair(3, 2))
+        thom_evaluate([(5, 0, -1), (5, 0, 1), (5, 3, 0)], FlatPair(3, 2))
 
 
 def test_thom_matches_oracle_randomly(rng):
@@ -129,7 +130,7 @@ def test_thom_matches_oracle_randomly(rng):
         verts = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(q + 1)]
         simplex = fill(verts)
         try:
-            got = thom_crossing(simplex, pair)
+            got = thom_crossing(verts, pair)
         except DegeneratePosition:
             continue
         assert got == thom_oracle(simplex, pair)
@@ -145,12 +146,12 @@ def test_thom_translation_invariance_along_flat(rng):
         shift = tuple(rng.randint(-5, 5) for _ in range(n - q)) + (0,) * q
         moved = [tuple(a + b for a, b in zip(v, shift)) for v in verts]
         try:
-            base = thom_crossing(fill(verts), pair)
+            base = thom_crossing(verts, pair)
         except DegeneratePosition:
             with pytest.raises(DegeneratePosition):
-                thom_crossing(fill(moved), pair)
+                thom_crossing(moved, pair)
             continue
-        assert thom_crossing(fill(moved), pair) == base
+        assert thom_crossing(moved, pair) == base
 
 
 def test_thom_orientation_flip(rng):
@@ -158,15 +159,15 @@ def test_thom_orientation_flip(rng):
         n, q = rng.choice(list(PAIR_SET))
         verts = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(q + 1)]
         try:
-            plus = thom_crossing(fill(verts), FlatPair(n, q, 1))
+            plus = thom_crossing(verts, FlatPair(n, q, 1))
         except DegeneratePosition:
             continue
-        minus = thom_crossing(fill(verts), FlatPair(n, q, -1))
+        minus = thom_crossing(verts, FlatPair(n, q, -1))
         assert minus == -plus
         # mod 2 the orientation is invisible
         assert (
-            thom_evaluate(fill(verts), FlatPair(n, q, 1), INTEGERS_MOD_2)
-            == thom_evaluate(fill(verts), FlatPair(n, q, -1), INTEGERS_MOD_2)
+            thom_evaluate(verts, FlatPair(n, q, 1), INTEGERS_MOD_2)
+            == thom_evaluate(verts, FlatPair(n, q, -1), INTEGERS_MOD_2)
         )
 
 
@@ -178,7 +179,7 @@ def test_thom_support_locality(rng):
         verts = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(q + 1)]
         simplex = fill(verts)
         try:
-            value = thom_crossing(simplex, pair)
+            value = thom_crossing(verts, pair)
         except DegeneratePosition:
             continue
         if value != 0:
@@ -200,7 +201,7 @@ def test_thom_zero_when_one_sided(rng):
             for _ in range(q + 1)
         ]
         try:
-            assert thom_crossing(fill(verts), pair) == 0
+            assert thom_crossing(verts, pair) == 0
         except DegeneratePosition:
             continue
 
@@ -210,13 +211,13 @@ def test_thom_zero_when_one_sided(rng):
 def test_cocycle_one_sided_is_zero():
     pair = FlatPair(2, 1)
     tri = fill([(0, 1), (2, 1), (1, 3)])
-    assert cocycle_check(tri, pair) == 0
+    assert cocycle_check(tri.vertices, pair) == 0
 
 
 def test_cocycle_example_with_per_face_oracle():
     pair = FlatPair(2, 1)
     tri = fill([(0, -1), (2, -1), (1, 2)])
-    assert cocycle_check(tri, pair) == 0
+    assert cocycle_check(tri.vertices, pair) == 0
     total = sum(
         (-1) ** j * thom_oracle(face, pair)
         for j, (_, face) in enumerate(tri.faces())
@@ -234,7 +235,7 @@ def test_cocycle_random_property(rng):
         verts = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(q + 2)]
         simplex = fill(verts)
         try:
-            value = cocycle_check(simplex, pair)
+            value = cocycle_check(verts, pair)
         except DegeneratePosition:
             continue
         assert value == 0
@@ -255,12 +256,11 @@ def test_perturbed_agrees_in_general_position(rng):
         n, q = rng.choice(list(PAIR_SET))
         pair = FlatPair(n, q, rng.choice([1, -1]))
         verts = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(q + 1)]
-        simplex = fill(verts)
         try:
-            plain = thom_crossing(simplex, pair)
+            plain = thom_crossing(verts, pair)
         except DegeneratePosition:
             continue
-        assert thom_crossing(simplex, pair, perturb=True) == plain
+        assert thom_crossing(verts, pair, perturb=True) == plain
         agree += 1
     assert agree > 500
 
@@ -271,9 +271,9 @@ def test_perturbed_is_total_and_consistent(rng):
         n, q = rng.choice(list(PAIR_SET))
         pair = FlatPair(n, q)
         verts = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(q + 2)]
-        assert cocycle_check(fill(verts), pair, perturb=True) == 0
+        assert cocycle_check(verts, pair, perturb=True) == 0
         for _, face in fill(verts).faces():
-            thom_crossing(face, pair, perturb=True)
+            thom_crossing(face.vertices, pair, perturb=True)
 
 
 @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3),
@@ -283,9 +283,9 @@ def test_perturbed_is_total_and_consistent(rng):
 def test_perturbed_cocycle_vanishes_hypothesis(a, b, c, d, e, f, g, h, i):
     # Arbitrary triangles in Z^2 against the codimension-1 flat, including
     # fully degenerate ones: the perturbed alternating sum is always zero.
-    simplex = fill([(a, b), (c, d), (e, f)])
+    simplex = [(a, b), (c, d), (e, f)]
     assert cocycle_check(simplex, FlatPair(2, 1), perturb=True) == 0
-    tetra = fill([(a, b, c), (d, e, f), (g, h, i), (a + 1, e - 1, i)])
+    tetra = [(a, b, c), (d, e, f), (g, h, i), (a + 1, e - 1, i)]
     assert cocycle_check(tetra, FlatPair(3, 2), perturb=True) == 0
 
 
@@ -294,10 +294,10 @@ def test_perturbed_segment_touching_flat():
     # +epsilon, so approaching from below does not cross but passing
     # through does.
     pair = FlatPair(2, 1)
-    assert thom_crossing(fill([(0, -1), (0, 0)]), pair, perturb=True) == 0
-    assert thom_crossing(fill([(0, 0), (0, 1)]), pair, perturb=True) == 1
-    assert thom_crossing(fill([(0, 0), (0, -1)]), pair, perturb=True) == 0
-    assert thom_crossing(fill([(0, 1), (0, 0)]), pair, perturb=True) == -1
+    assert thom_crossing([(0, -1), (0, 0)], pair, perturb=True) == 0
+    assert thom_crossing([(0, 0), (0, 1)], pair, perturb=True) == 1
+    assert thom_crossing([(0, 0), (0, -1)], pair, perturb=True) == 0
+    assert thom_crossing([(0, 1), (0, 0)], pair, perturb=True) == -1
 
 
 @pytest.mark.parametrize("perturb", [False, True], ids=["plain", "perturbed"])
@@ -313,10 +313,90 @@ def test_thom_matches_barycentric_oracle(q, perturb):
         verts = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(q + 1)]
         want = crossing_number_oracle([pair.normal_part(v) for v in verts], perturb)
         try:
-            got = thom_crossing(fill(verts), pair, perturb)
+            got = thom_crossing(verts, pair, perturb)
         except DegeneratePosition:
             got = None
         assert got == (None if want is None else pair.normal_orientation * want), verts
         seen["degenerate" if want is None else "nonzero" if want else "zero"] += 1
     assert seen["zero"] and seen["nonzero"], seen
     assert bool(seen["degenerate"]) != perturb, seen
+
+
+# -- closed forms against the general elimination ----------------------------
+
+def _general_outcome(normals, perturb):
+    """(value, None) or (None, message) from the general elimination."""
+    try:
+        return geometry._crossing_number([tuple(v) for v in normals], perturb), None
+    except DegeneratePosition as exc:
+        return None, str(exc)
+
+
+def _closed_outcome(normals, perturb):
+    """The same pair from the q = 1 or q = 2 closed form; None where it defers."""
+    try:
+        if len(normals) == 2:
+            return geometry._crossing_segment(normals[0][0], normals[1][0], perturb), None
+        value = geometry._crossing_triangle(*normals, perturb)
+        return (None, None) if value is None else (value, None)
+    except DegeneratePosition as exc:
+        return None, str(exc)
+
+
+def _q2_cases():
+    box = list(itertools.product(range(-1, 2), repeat=2))
+    yield from itertools.product(box, repeat=3)
+    rng = random.Random(3202)
+    for _ in range(2000):
+        yield tuple((rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(3))
+    for _ in range(300):
+        yield tuple((Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
+                     Fraction(rng.randint(-6, 6), rng.randint(1, 3))) for _ in range(3))
+
+
+@pytest.mark.parametrize("perturb", [False, True], ids=["plain", "perturbed"])
+def test_closed_forms_match_the_general_elimination(perturb):
+    # Same value, or the same DegeneratePosition message, on every case; and
+    # thom_crossing (which falls back on a singular 2x2) agrees as well.
+    q1 = [((a,), (b,)) for a in range(-3, 4) for b in range(-3, 4)]
+    seen = {"value": 0, "degenerate": 0, "deferred": 0}
+    for normals in itertools.chain(q1, _q2_cases()):
+        want = _general_outcome(normals, perturb)
+        got = _closed_outcome(normals, perturb)
+        if got == (None, None):
+            assert len(normals) == 3 and not perturb, normals
+            seen["deferred"] += 1
+        else:
+            assert got == want, normals
+            seen["degenerate" if got[1] else "value"] += 1
+        pair = FlatPair(len(normals) - 1, len(normals) - 1)
+        try:
+            assert (thom_crossing(normals, pair, perturb), None) == want, normals
+        except DegeneratePosition as exc:
+            assert (None, str(exc)) == want, normals
+    assert seen["value"] > 2000, seen
+    assert bool(seen["degenerate"]) != perturb and bool(seen["deferred"]) != perturb, seen
+
+
+def test_thom_crossing_checks_the_tuple_shape():
+    pair = FlatPair(3, 2)
+    cases = [
+        ([], "cannot fill an empty tuple"),
+        ([(0, 0, 1), (0, 1), (1, 0, 0)], "vertex (0, 1) not in dimension 3"),
+        ([(0, 1), (1, 0), (1, 1)], "simplex and pair live in different ambient dimensions"),
+        ([(0, 0, 1), (0, 1, 0)], "Thom evaluation needs a 2-simplex, got dimension 1"),
+    ]
+    for vertices, message in cases:
+        with pytest.raises(ValueError) as err:
+            thom_crossing(vertices, pair)
+        assert str(err.value) == message
+        assert not isinstance(err.value, DegeneratePosition)
+
+
+def test_degenerate_payload_is_the_filled_simplex():
+    pair = FlatPair(3, 2)
+    for vertices in ([(5, 0, -1), (5, 0, 1), (5, 3, 0)], [(0, 0, 0), (0, 1, 1), (0, 2, 2)]):
+        with pytest.raises(DegeneratePosition) as err:
+            thom_crossing(vertices, pair)
+        assert err.value.simplex == fill(vertices)
+        assert err.value.chain_tuple is None

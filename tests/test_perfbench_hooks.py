@@ -9,7 +9,9 @@ arguments on each of a complex's `matrices`.  Its reduction counters read
 only what goes through `rank_and_factors`, so homology ranks must be read
 through it, once per stored coboundary.  A refactor that moves one of them
 would only show as a traced run that is not `correct`; these tests make it
-fail here instead.  Both files are read, never changed.
+fail here instead.  One seed-1 cycle of perfbench/workloads.py's
+chain-wrongway workload also pins the traced run's Thom counts.  The perfbench
+files are read, never changed.
 """
 
 import ast
@@ -29,17 +31,22 @@ from coarse_chains.intlinalg import SparseIntMatrix
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_layers():
+def _load(name: str):
+    """perfbench/<name>.py as a module, with no bytecode written next to it.
+
+    It is registered in sys.modules while it runs, as dataclasses need.
+    """
     saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
     sys.path.insert(0, str(PERFBENCH))
     sys.dont_write_bytecode = True
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     try:
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_layers", PERFBENCH / "layers.py")
-        module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         return module
     finally:
+        del sys.modules[spec.name]
         sys.path[:] = saved_path
         sys.dont_write_bytecode = saved_flag
 
@@ -55,7 +62,7 @@ def _watched_sites() -> list[tuple[str, str]]:
     raise AssertionError("test_helpers.py has no `watched` list")
 
 
-layers = _load_layers()
+layers = _load("layers")
 
 
 @pytest.mark.parametrize("name", sorted(layers.TARGETS))
@@ -114,3 +121,40 @@ def test_ranks_are_read_through_rank_and_factors(monkeypatch):
         ranks = qc.reduction.ranks
         assert [id(m) for m in calls] == [id(m) for _, m in sorted(qc.matrices.items())]
         assert ranks == {d: original(m) for d, m in qc.matrices.items()}
+
+
+def test_chain_wrongway_calls_thom_through_its_patchable_name(monkeypatch):
+    # One seed-1 cycle of the chain-wrongway workload, with a counting spy
+    # at every module binding of thom_crossing: every Thom evaluation, fast
+    # path or not, goes through the name the traced run and the thom-sign
+    # mutation patch.  The counts are those of the traced run.
+    workloads = _load("workloads")
+    original = coarse_chains.geometry.thom_crossing
+    counts = {"calls": 0, "perturbed": 0, "degenerate": 0}
+
+    def spy(vertices, pair, perturb=False):
+        counts["calls"] += 1
+        counts["perturbed"] += bool(perturb)
+        try:
+            return original(vertices, pair, perturb)
+        except coarse_chains.geometry.DegeneratePosition:
+            counts["degenerate"] += 1
+            raise
+
+    sites = [module for name, module in sorted(sys.modules.items())
+             if (name == "coarse_chains" or name.startswith("coarse_chains."))
+             and vars(module).get("thom_crossing") is original]
+    assert {m.__name__ for m in sites} >= {"coarse_chains.geometry", "coarse_chains.wrongway"}
+    for module in sites:
+        monkeypatch.setattr(module, "thom_crossing", spy)
+    workload = workloads.WORKLOADS["chain-wrongway"](1)
+    outcomes = []
+    for item in workload.items:
+        try:
+            result, error = workload.run(item), None
+        except Exception as exc:
+            result, error = None, exc
+        outcomes.append(workload.check(item, result, error)[0])
+    assert counts == {"calls": 16351, "perturbed": 11360, "degenerate": 271}
+    assert outcomes.count(workloads.REJECTED) == 271
+    assert workloads.FAILED not in outcomes

@@ -7,7 +7,7 @@ really patches and restores the evaluation bindings.
 
 import json
 
-from coarse_chains import FlatPair, LatticeSpace, fill, thom_crossing, verify
+from coarse_chains import FlatPair, LatticeSpace, thom_crossing, verify
 from coarse_chains.chains import push_tuplewise
 from coarse_chains.cli import main
 from coarse_chains.verify import (
@@ -23,7 +23,7 @@ from coarse_chains.wrongway import cap_thom
 
 def test_patched_thom_sign_restores_bindings():
     pair = FlatPair(2, 1)
-    down = fill([(0, 1), (0, -1)])
+    down = [(0, 1), (0, -1)]
     assert thom_crossing(down, pair) == -1
     with _patched_thom_sign():
         from coarse_chains import geometry, wrongway, equivariant

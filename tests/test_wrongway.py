@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from coarse_chains import (
@@ -19,6 +21,7 @@ from coarse_chains import (
     uf_norm,
     wrong_way,
 )
+from coarse_chains import geometry
 from coarse_chains.sampling import general_position_chain
 
 from conftest import PAIR_SET
@@ -71,6 +74,42 @@ def test_cap_degenerate_attaches_tuple():
     with pytest.raises(DegeneratePosition) as err:
         cap_thom(c, make_ctx(PAIR21))
     assert err.value.chain_tuple == ((0, 0), (1, 0))
+
+
+def test_wrong_way_builds_a_simplex_only_for_the_degenerate_payload(rng, monkeypatch):
+    cases = []
+    for n, q in PAIR_SET:
+        pair = FlatPair(n, q)
+        for group in (INTEGERS, INTEGERS_MOD_2, RATIONALS):
+            for perturb in (False, True):
+                ctx = make_ctx(pair, group, perturb)
+                c, _, _ = general_position_chain(rng, pair, q + 1, ctx)
+                cases.append((c, ctx, wrong_way(c, ctx)))
+    assert any(not image.is_zero() for _, _, image in cases)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an AffineSimplex was built off the degenerate path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "AffineSimplex", refuse)
+        for c, ctx, image in cases:
+            got = wrong_way(c, ctx)
+            assert got == image
+            values = list(got.terms.values())
+            if ctx.group is RATIONALS:
+                assert all(type(v) is Fraction for v in values)
+            elif ctx.group is INTEGERS_MOD_2:
+                assert values == [1] * len(values)
+
+    for n, q in PAIR_SET:
+        # The leading q-simplex lies in the flat: its hull holds the origin.
+        tup = tuple((i,) * (n - q) + (0,) * q for i in range(q + 1)) + ((0,) * (n - q) + (1,) * q,)
+        c = UfChain(q + 1, LatticeSpace(n), INTEGERS, {tup: 1})
+        with pytest.raises(DegeneratePosition) as err:
+            wrong_way(c, make_ctx(FlatPair(n, q)))
+        assert str(err.value) == "projected simplex is degenerate with the origin in its affine hull"
+        assert err.value.simplex == fill(tup[: q + 1])
+        assert err.value.chain_tuple == tup
 
 
 # -- projection ------------------------------------------------------------
@@ -149,7 +188,7 @@ def test_sign_identity_single_tuple_hand_expansion():
 
     def theta(points):
         try:
-            return thom_crossing(fill(points), pair)
+            return thom_crossing(points, pair)
         except DegeneratePosition:
             raise AssertionError("hand expansion hit a degenerate position")
 
